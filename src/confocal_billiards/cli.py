@@ -142,8 +142,7 @@ def _cmd_spt_find(args) -> int:
     cls = class_by_id(args.class_id, ell.n)
     w = WindingNumbers(args.winding) if args.winding else None
     traj = find_spt(cls, ell, w, branch=args.branch, polish=not args.no_polish)
-    report = verify_trajectory(traj)
-    text = document.dumps(document.trajectory_to_document(traj, report))
+    text = document.dumps(document.trajectory_to_document(traj, traj.report))
     if args.out:
         document.write_atomic(args.out, text)
         print(f"wrote {args.out} (period {traj.period}, "

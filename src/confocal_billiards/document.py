@@ -2,12 +2,15 @@
 
 Floats are emitted with 17 significant digits (exact float64 round trip)
 by a small deterministic emitter, so write -> read -> write is
-byte-identical.  Files are written atomically (temp file then rename).
+byte-identical.  Non-finite floats raise ValueError instead of becoming
+the invalid tokens ``nan``/``inf``.  Files are written atomically (temp
+file then rename).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -49,6 +52,8 @@ def _emit(value, out: list[str], indent: int) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {float(value)!r} has no JSON form")
         out.append(f"{float(value):.17g}")
     elif value is None:
         out.append("null")

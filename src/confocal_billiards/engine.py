@@ -23,6 +23,7 @@ import numpy as np
 
 from .dynamics import PhasePoint, Reversor, iterate_orbit, nonempty_reversors
 from .errors import (
+    BilliardError,
     FeasibilityError,
     NoSolutionInComponent,
     UnsupportedDimension,
@@ -479,7 +480,7 @@ def _polish_lambda(vertex: CuboidVertex, lam: CausticParams, ell: Ellipsoid,
         trial = lamv + step
         try:
             rt = defect(trial)
-        except Exception:
+        except (BilliardError, ValueError):
             break
         if float(np.max(np.abs(rt))) >= best_norm:
             break

@@ -211,6 +211,48 @@ def cuboid(lam: CausticParams, ell: Ellipsoid) -> Cuboid:
 # Cartesian <-> elliptic coordinates
 # --------------------------------------------------------------------------
 
+def elliptic_coords(Q, ell: Ellipsoid, *, collision_tol: float = 1e-12):
+    """Elliptic coordinates of a stack of points, (mu[N, d] ascending, ok[N]).
+
+    The coordinates of x are the eigenvalues of ``diag(a) - x x^T``, since
+    ``det(diag(a) - x x^T - mu I) = prod_j (a_j - mu) (1 - sum_j x_j^2/(a_j - mu))``
+    (rank-one update, Golub 1973), so one batched ``eigvalsh`` call gives
+    every row.  The matrix is built from |x|: the coordinates depend on x^2
+    only, and sign flips then give bit-identical rows.  Components within
+    ``1e-12 * a_max`` of a hyperplane are snapped onto it and the limit
+    root a_j is returned exactly; the other roots get one Newton step on
+    ``F(mu) = sum_j x_j^2/(a_j - mu) - 1``.  ``ok`` is False where two
+    roots collide within ``collision_tol * a_max`` (the point sits next to
+    a focal conic, where the coordinates are not defined).
+    """
+    a = ell.a
+    scale = float(a[-1])
+    X = np.abs(np.asarray(Q, dtype=float))
+    if X.ndim != 2 or X.shape[1] != ell.dim:
+        raise ValueError(f"points must have shape (N, {ell.dim})")
+    X[X < 1e-12 * scale] = 0.0
+    mu = np.linalg.eigvalsh(np.diag(a) - X[:, :, None] * X[:, None, :])
+    zero = X == 0.0
+    for j in np.flatnonzero(zero.any(axis=0)):
+        on = np.flatnonzero(zero[:, j])
+        mu[on, np.argmin(np.abs(mu[on] - a[j]), axis=1)] = a[j]
+    D = a - mu[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = (X * X)[:, None, :] / D     # 0/0 = nan keeps snapped roots as they are
+        step = (T.sum(axis=2) - 1.0) / (T / D).sum(axis=2)
+    # a root hugging a pole can land an ulp on its far side, from where the
+    # Newton step jumps across the pole: keep the eigenvalue there
+    reach = np.min(np.abs(D), axis=2, where=~zero[:, None, :], initial=np.inf)
+    polish = np.abs(step) < reach
+    mu[polish] -= step[polish]
+    mu.sort(axis=1)
+    # such roots can also break mu_0 <= a_1 <= mu_1 <= ... <= a_d by an ulp
+    np.minimum(mu, a, out=mu)
+    np.maximum(mu[:, 1:], a[:-1], out=mu[:, 1:])
+    ok = np.all(np.diff(mu, axis=1) >= collision_tol * scale, axis=1)
+    return mu, ok
+
+
 def cartesian_to_elliptic(q, ell: Ellipsoid, *, collision_tol: float = 1e-12) -> EllipticPoint:
     """Elliptic coordinates of a point: the roots of <D_mu q, q> = 1.
 
@@ -219,74 +261,16 @@ def cartesian_to_elliptic(q, ell: Ellipsoid, *, collision_tol: float = 1e-12) ->
     when two roots collide within ``collision_tol`` (the point sits next
     to a focal conic, where the coordinates are not defined).
     """
-    a = ell.a
-    scale = float(a[-1])
-    x = np.asarray(q, dtype=float).copy()
+    x = np.asarray(q, dtype=float)
     if x.shape != (ell.dim,):
         raise ValueError(f"point must have dimension {ell.dim}")
-    snap = 1e-12 * scale
-    x[np.abs(x) < snap] = 0.0
-    # 0 in the mask reports that q lies on that coordinate hyperplane
-    octant = tuple(0 if v == 0.0 else (-1 if v < 0 else 1) for v in x)
-    zero = x == 0.0
-    roots = [float(a[j]) for j in np.nonzero(zero)[0]]
-    if not zero.all():
-        roots.extend(_membership_roots(a[~zero], x[~zero], scale))
-    mu = np.sort(np.array(roots))
-    if np.min(np.diff(mu)) < collision_tol * scale:
+    mu, ok = elliptic_coords(x[None], ell, collision_tol=collision_tol)
+    if not ok[0]:
         raise NonGenericPoint(f"colliding elliptic coordinates at {q}")
-    return EllipticPoint(tuple(mu), octant)
-
-
-def _membership_roots(aj: np.ndarray, xj: np.ndarray, scale: float) -> list[float]:
-    """Roots of F(mu) = sum x_j^2/(a_j - mu) - 1, one per interleaving bracket.
-
-    F is strictly increasing between consecutive poles, so plain bisection
-    followed by Newton polishing cannot escape its bracket.
-    """
-    x2 = xj * xj
-
-    def f_and_df(mu):
-        d = aj - mu
-        t = x2 / d
-        return float(np.sum(t) - 1.0), float(np.sum(t / d))
-
-    margin = 1e-13 * scale
-    lo_first = float(aj[0] - np.sum(x2) - scale)
-    brackets = [(lo_first, float(aj[0]) - margin)]
-    brackets += [(float(aj[k]) + margin, float(aj[k + 1]) - margin)
-                 for k in range(len(aj) - 1)]
-    roots = []
-    for lo, hi in brackets:
-        flo, _ = f_and_df(lo)
-        fhi, _ = f_and_df(hi)
-        if flo > 0.0:       # root hugging the left pole
-            roots.append(lo)
-            continue
-        if fhi < 0.0:       # root hugging the right pole
-            roots.append(hi)
-            continue
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            fm, _ = f_and_df(mid)
-            if fm <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
-        for _ in range(8):
-            fm, dfm = f_and_df(mu)
-            if dfm <= 0.0:
-                break
-            step = fm / dfm
-            nxt = mu - step
-            if not (lo <= nxt <= hi):
-                break
-            mu = nxt
-            if abs(step) < 1e-17 * scale:
-                break
-        roots.append(mu)
-    return roots
+    # 0 in the mask reports that q lies on that coordinate hyperplane
+    snap = 1e-12 * ell.axes[-1]
+    octant = tuple(0 if abs(v) < snap else (-1 if v < 0 else 1) for v in x)
+    return EllipticPoint(tuple(mu[0]), octant)
 
 
 def elliptic_to_cartesian(mu, ell: Ellipsoid, signs=None, *, tol: float = 1e-9) -> np.ndarray:

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhasePoint, _step_arrays
-from .errors import NoSolutionInComponent, SingularCaustic, UnsupportedDimension
+from .errors import BilliardError, NoSolutionInComponent, SingularCaustic, UnsupportedDimension
 from .geometry import (
     CausticParams,
     Ellipsoid,
     cartesian_to_elliptic,
     caustic_component_bounds,
     cuboid,
+    elliptic_coords,
     tangent_directions,
 )
 from .quadrature import period_integrals
@@ -47,7 +48,14 @@ _TOL_ENV = "CONFOCAL_QUAD_TOL"
 def _quad_tol(tol: float | None) -> float:
     if tol is not None:
         return tol
-    return float(os.environ.get(_TOL_ENV, "1e-12"))
+    raw = os.environ.get(_TOL_ENV, "1e-12")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{_TOL_ENV}={raw!r}: need a finite number > 0")
+    return value
 
 
 @dataclass(frozen=True)
@@ -249,10 +257,10 @@ def default_tangent_start(lam: CausticParams, ell: Ellipsoid,
                 continue
             try:
                 return seed_point(r, lam, ell, branch=0)
-            except Exception:
+            except (BilliardError, ValueError):
                 try:
                     return seed_point(r, lam, ell, branch=0, side=1)
-                except Exception:
+                except (BilliardError, ValueError):
                     continue
         raise NoSolutionInComponent(f"no tilde seed available for {lam}")
     for _ in range(500):
@@ -270,16 +278,10 @@ def sample_elliptic_path(impacts: np.ndarray, ell: Ellipsoid,
     Samples falling inside the focal-conic rejection zone are dropped
     rather than aborting the sweep.
     """
-    from .errors import NonGenericPoint
-    rows = []
-    for q0, q1 in zip(impacts[:-1], impacts[1:]):
-        for k in range(samples_per_chord):
-            t = k / samples_per_chord
-            try:
-                rows.append(cartesian_to_elliptic(q0 + t * (q1 - q0), ell).coords)
-            except NonGenericPoint:
-                continue
-    return np.array(rows)
+    q0, q1 = impacts[:-1, None, :], impacts[1:, None, :]
+    t = (np.arange(samples_per_chord) / samples_per_chord)[:, None]
+    mu, ok = elliptic_coords((q0 + t * (q1 - q0)).reshape(-1, ell.dim), ell)
+    return mu[ok]
 
 
 def _count_oscillations_sampled(series: np.ndarray, closed: bool) -> float:

@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from confocal_billiards import cli, document, plotting
-from confocal_billiards import class_by_id, find_spt
+from confocal_billiards import class_by_id, engine, find_spt
 
 
 def run_cli(capsys, *argv):
@@ -122,3 +123,47 @@ def test_atomic_write(tmp_path):
     document.write_atomic(str(target), "hello\n")
     assert target.read_text() == "hello\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_spt_find_verifies_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = engine.verify_trajectory
+    monkeypatch.setattr(engine, "verify_trajectory", counting)
+    monkeypatch.setattr(cli, "verify_trajectory", counting)
+    code, out, _ = run_cli(capsys, "spt", "find", "--class", "E:Rx+fRx",
+                           "--axes", "0.16,1.0")
+    assert code == 0 and json.loads(out)["symmetry_report"]["passed"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_document_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError):
+        document.dumps({"closure_residual": bad})
+    with pytest.raises(ValueError):
+        document.dumps({"impacts": [[0.5, 1.0], [bad, 0.0]]})
+
+
+def test_document_finite_bytes():
+    doc = {"a": [0.1, np.float64(-2.5e-300), 3, True, None, "s"], "b": {}, "c": []}
+    assert document.dumps(doc) == (
+        '{\n  "a": [\n    0.10000000000000001,\n    -2.5e-300,\n'
+        '    3,\n    true,\n    null,\n    "s"\n  ],\n  "b": {},\n  "c": []\n}\n')
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tight"])
+def test_quad_tol_env_rejected(value, monkeypatch, capsys):
+    monkeypatch.setenv("CONFOCAL_QUAD_TOL", value)
+    code, out, err = run_cli(capsys, "freq", "eval", "--axes", "0.13,0.8,1.0",
+                             "--lambdas", "0.130077,0.648376")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError"
+    assert "CONFOCAL_QUAD_TOL" in payload["message"]

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confocal_billiards import (
     CausticParams,
     Ellipsoid,
     NegativeRadicand,
+    NonGenericPoint,
     NonTransverse,
     SingularLine,
     cartesian_to_elliptic,
@@ -17,6 +20,8 @@ from confocal_billiards import (
     line_tangency_residual,
     tangent_directions,
 )
+from confocal_billiards.geometry import elliptic_coords
+from confocal_billiards.spectral import sample_elliptic_path
 
 # Coordinate convention: axis j pairs with a_j ascending, so in 2D the
 # first coordinate runs along the short axis.
@@ -207,3 +212,77 @@ def test_tangent_directions_counts(ell_mid, rng):
             assert abs(np.linalg.norm(p) - 1.0) < 1e-9
             assert float(ell_mid.normal(q) @ p) > 0.0
     assert max(sizes) == 4  # four tangent lines from generic points in 3D
+
+
+# Property tests for the batched kernel, near-degenerate axes included.
+KERNEL_AXES = [(1.0, 2.0), (0.16, 1.0), (0.13, 0.8, 1.0), (0.02, 0.1, 1.0),
+               (0.05, 0.95, 1.0), (0.3, 0.7, 1.3, 2.1)]
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def axes_and_points(draw):
+    """Ellipsoid plus eight points in a box a bit larger than it."""
+    ell = Ellipsoid(draw(st.sampled_from(KERNEL_AXES)))
+    unit = st.floats(-1.2, 1.2, allow_nan=False)
+    Q = np.array([[draw(unit) for _ in range(ell.dim)] for _ in range(8)])
+    return ell, Q * np.sqrt(ell.a)
+
+
+@PROPERTY
+@given(axes_and_points())
+def test_kernel_rows_match_scalar_route(case):
+    ell, Q = case
+    mu, ok = elliptic_coords(Q, ell)
+    for q, row, good in zip(Q, mu, ok):
+        if good:
+            assert cartesian_to_elliptic(q, ell).coords == tuple(row)
+            # interleaving: mu_0 <= a_1 <= mu_1 <= ... <= a_d
+            assert np.all(row[1:] >= ell.a[:-1]) and np.all(row <= ell.a)
+            if np.min(np.abs(q)) > 1e-6:
+                # defining equation: the Newton correction left is roundoff
+                t = q * q / (ell.a - row[:, None])
+                F, dF = t.sum(axis=1) - 1.0, (t / (ell.a - row[:, None])).sum(axis=1)
+                assert np.all(np.abs(F) <= 1e-14 * ell.a[-1] * dF)
+        else:
+            with pytest.raises(NonGenericPoint):
+                cartesian_to_elliptic(q, ell)
+
+
+@PROPERTY
+@given(axes_and_points(), st.data())
+def test_kernel_hyperplane_roots_are_exact(case, data):
+    ell, Q = case
+    j = data.draw(st.integers(0, ell.dim - 1))
+    Q[:, j] = data.draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    mu, ok = elliptic_coords(Q, ell)
+    assert np.all(np.any(mu[ok] == ell.a[j], axis=1))
+
+
+@PROPERTY
+@given(axes_and_points(), st.data())
+def test_kernel_sign_flips_are_bit_identical(case, data):
+    ell, Q = case
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=ell.dim, max_size=ell.dim)))
+    mu, ok = elliptic_coords(Q, ell)
+    mu_f, ok_f = elliptic_coords(Q * signs, ell)
+    assert np.array_equal(mu, mu_f) and np.array_equal(ok, ok_f)
+
+
+@PROPERTY
+@given(st.sampled_from(KERNEL_AXES[2:5]), st.floats(0.0, 2.0 * math.pi))
+def test_kernel_rejects_focal_points(axes, theta):
+    # focal ellipse {x_1 = 0, x_2^2/(a_2 - a_1) + x_3^2/(a_3 - a_1) = 1}:
+    # mu_0 and mu_1 both equal a_1 there
+    ell = Ellipsoid(axes)
+    a = ell.a
+    focal = np.array([0.0, math.sqrt(a[1] - a[0]) * math.cos(theta),
+                      math.sqrt(a[2] - a[0]) * math.sin(theta)])
+    _, ok = elliptic_coords(focal[None], ell)
+    assert not ok[0]
+    impacts = np.array([focal, ell.surface_point(np.array([1.0, 0.3, -0.2]))])
+    path = sample_elliptic_path(impacts, ell, 16)
+    mu, ok = elliptic_coords(focal + np.arange(16)[:, None] / 16 * (impacts[1] - focal), ell)
+    assert len(path) == np.count_nonzero(ok) < 16
+    assert np.array_equal(path, mu[ok])
