@@ -48,6 +48,7 @@ from .errors import (
     NonGenericPoint,
     NonTransverse,
     NoSolutionInComponent,
+    QuadratureNotConverged,
     SingularCaustic,
     SingularLine,
     UnsupportedDimension,

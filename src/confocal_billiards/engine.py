@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import PhasePoint, Reversor, iterate_orbit, nonempty_reversors
+from .dynamics import Reversor, iterate_orbit, nonempty_reversors
 from .errors import (
     BilliardError,
     FeasibilityError,
@@ -43,7 +43,7 @@ from .symmetry import (
     all_vertexes,
     reversor_of_vertex,
     seed_point_at_vertex,
-    symmetry_set_contains,
+    symmetry_set_members,
 )
 
 CTYPES_BY_DIM = {1: ("E", "H"), 2: ("EH1", "H1H1", "EH2", "H1H2")}
@@ -355,22 +355,19 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
 
     box = cuboid(lam, ell)
     path = sample_elliptic_path(t.impacts, ell, samples_per_chord)
-    excursion = max((box.excursion(row) for row in path), default=0.0)
+    excursion = box.excursion(path)
     if excursion > excursion_tol:
         failures.append(f"cuboid excursion {excursion:.3e} > {excursion_tol:.0e}")
 
-    phase_points = [PhasePoint(tuple(q), tuple(p))
-                    for q, p in zip(t.impacts[:-1], t.velocities[:-1])]
     memberships: dict[str, list[int]] = {}
     for r in nonempty_reversors(ell.dim):
-        hits = [j for j, m in enumerate(phase_points)
-                if symmetry_set_contains(r, m, ell, membership_tol)]
-        if hits:
-            memberships[r.key] = hits
+        hits = symmetry_set_members(r, t.impacts[:-1], t.velocities[:-1], ell, membership_tol)
+        if hits.size:
+            memberships[r.key] = hits.tolist()
 
     family_counts: dict[str, int] = {}
     two_point_ok = True
-    for sigma_key in {r.key.removeprefix("f") for r in nonempty_reversors(ell.dim)}:
+    for sigma_key in sorted({r.key.removeprefix("f") for r in nonempty_reversors(ell.dim)}):
         tilde_hits = memberships.get(sigma_key, [])
         hat_hits = memberships.get("f" + sigma_key, [])
         total = len(tilde_hits) + len(hat_hits)
@@ -543,7 +540,20 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
     """
     trajectories: list[Trajectory] = []
     failures: list[tuple[str, str]] = []
-    lam_cache: dict[tuple, CausticParams] = {}
+    # (axes, ctype, winding) -> caustic parameters, or the failed inversion's
+    # exception: many classes share a key, and a repeated miss is re-raised.
+    lam_cache: dict[tuple, CausticParams | NoSolutionInComponent] = {}
+
+    def inverted(shape: Ellipsoid, cls: SptClass, w: WindingNumbers) -> CausticParams:
+        key = (shape.axes, cls.ctype, w.m)
+        if key not in lam_cache:
+            try:
+                lam_cache[key] = invert_frequency(w.target(), cls.ctype, shape)
+            except NoSolutionInComponent as exc:
+                lam_cache[key] = exc.with_traceback(None)   # frames not kept alive
+        if isinstance(lam_cache[key], NoSolutionInComponent):
+            raise lam_cache[key]
+        return lam_cache[key]
 
     def shapes_for(cls: SptClass) -> list[Ellipsoid]:
         if cls.dim == 2:
@@ -557,14 +567,8 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
             w = cls.minimal_winding
             last_err = None
             for shape in shapes_for(cls):
-                key = (shape.axes, cls.ctype, w.m)
                 try:
-                    if key in lam_cache:
-                        lam = lam_cache[key]
-                    else:
-                        lam = invert_frequency(w.target(), cls.ctype, shape)
-                        lam_cache[key] = lam
-                    traj = find_spt(cls, shape, w, branch=branch, lam=lam)
+                    traj = find_spt(cls, shape, w, branch=branch, lam=inverted(shape, cls, w))
                     trajectories.append(traj)
                     last_err = None
                     break

@@ -45,6 +45,10 @@ class NoSolutionInComponent(BilliardError):
     """Frequency inversion found no solution in the requested component."""
 
 
+class QuadratureNotConverged(BilliardError):
+    """A period integral missed its tolerance at the finest quadrature level."""
+
+
 class UnsupportedDimension(BilliardError):
     """Operation not available for this ambient dimension."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,11 +193,13 @@ class Cuboid:
                    for v, (lo, hi) in zip(coords, self.intervals))
 
     def excursion(self, coords) -> float:
-        """Largest breach of the interval bounds (0 when inside)."""
-        out = 0.0
-        for v, (lo, hi) in zip(coords, self.intervals):
-            out = max(out, lo - v, v - hi)
-        return max(out, 0.0)
+        """Largest breach of the interval bounds (0 when inside).
+
+        ``coords`` is one point or a stack of points, one per row.
+        """
+        lo, hi = np.array(self.intervals).T
+        c = np.asarray(coords, dtype=float)
+        return float(np.max(np.maximum(lo - c, c - hi), initial=0.0))
 
 
 def cuboid(lam: CausticParams, ell: Ellipsoid) -> Cuboid:
@@ -305,12 +307,19 @@ def elliptic_to_cartesian(mu, ell: Ellipsoid, signs=None, *, tol: float = 1e-9) 
 # Caustic parameters of a line
 # --------------------------------------------------------------------------
 
-def _axis_cofactor_polys(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_j)_j with P_j(t) = prod_{k != j}(a_k - t), and P(t) = prod_k (a_k - t)."""
+@lru_cache(maxsize=None)
+def _axis_cofactor_polys(axes: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(P_j)_j with P_j(t) = prod_{k != j}(a_k - t), and P(t) = prod_k (a_k - t).
+
+    One pair per ellipsoid, shared between calls, hence read-only.
+    """
+    a = np.array(axes)
     d = len(a)
     sign = (-1.0) ** (d - 1)
     pj = np.array([np.poly(np.delete(a, j)) * sign for j in range(d)])
     pall = np.poly(a) * (-1.0) ** d
+    for arr in (pj, pall):
+        arr.setflags(write=False)
     return pj, pall
 
 
@@ -321,11 +330,10 @@ def tangency_polynomial(q, p, ell: Ellipsoid) -> np.ndarray:
     confocal family, cleared of its poles at the axes; its roots are the
     caustic parameters.
     """
-    a = ell.a
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
-    pj, pall = _axis_cofactor_polys(a)
+    pj, pall = _axis_cofactor_polys(ell.axes)
     A = (p * p) @ pj
     B = 2.0 * (q * p) @ pj
     C = np.concatenate([[0.0], (q * q) @ pj]) - pall
@@ -334,7 +342,15 @@ def tangency_polynomial(q, p, ell: Ellipsoid) -> np.ndarray:
     top = np.zeros(max(len(g), len(ac)))
     top[-len(g):] += g
     top[-len(ac):] -= ac
-    t_poly, rem = np.polydiv(top, pall)
+    # long division by P, numpy.polydiv's loop without its trimming of the
+    # remainder's leading near-zeros (all below the threshold checked here)
+    n = len(pall) - 1
+    t_poly = np.zeros(max(len(top) - n, 1))
+    rem = top.copy()
+    scale = 1.0 / pall[0]
+    for k in range(len(top) - n):
+        t_poly[k] = scale * rem[k]
+        rem[k:k + n + 1] -= t_poly[k] * pall
     # remainder is zero in exact arithmetic; keep it as a sanity residual
     if np.max(np.abs(rem)) > 1e-6 * max(1.0, np.max(np.abs(top))):
         raise SingularLine("tangency discriminant does not factor; degenerate line")

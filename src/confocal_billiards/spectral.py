@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhasePoint, _step_arrays
-from .errors import BilliardError, NoSolutionInComponent, SingularCaustic, UnsupportedDimension
+from .errors import (
+    BilliardError,
+    NoSolutionInComponent,
+    QuadratureNotConverged,
+    SingularCaustic,
+    UnsupportedDimension,
+)
 from .geometry import (
     CausticParams,
     Ellipsoid,
@@ -126,53 +132,69 @@ class FrequencyValue:
 # Quadrature route
 # --------------------------------------------------------------------------
 
-def _interval_periods(lam: CausticParams, ell: Ellipsoid, powers,
-                      tol: float) -> tuple[np.ndarray, float]:
-    """J[k, i] = integral of s^k/sqrt(P) over interval I_i, for k in powers."""
-    box = cuboid(lam, ell)
-    roots = np.array(sorted(ell.axes + lam.lambdas))
-    n1 = ell.dim
-    J = np.empty((len(powers), n1))
-    err = 0.0
-    for i, (alpha, beta) in enumerate(box.intervals):
-        vals, e = period_integrals(alpha, beta, roots, powers, tol=tol)
-        J[:, i] = vals
-        err = max(err, e)
-    return J, err
-
-
-def _check_nonsingular(lam: CausticParams, ell: Ellipsoid, tol: float = 1e-12):
+def _check_nonsingular(lams: np.ndarray, ell: Ellipsoid, tol: float = 1e-12):
+    """Raise SingularCaustic if any row of lams (N, n) is near a singular value."""
     scale = ell.axes[-1]
-    vals = (0.0,) + ell.axes
-    for v in lam.lambdas:
-        if min(abs(v - c) for c in vals) < tol * scale:
-            raise SingularCaustic(f"caustic parameter {v} within {tol} of a singular value")
-    if ell.n >= 2 and lam.lambdas[1] - lam.lambdas[0] < tol * scale:
+    sing = np.array((0.0,) + ell.axes)
+    near = np.min(np.abs(lams[:, :, None] - sing), axis=2) < tol * scale
+    if np.any(near):
+        raise SingularCaustic(f"caustic parameter {lams[near][0]} within {tol} of a singular value")
+    if ell.n >= 2 and np.any(lams[:, 1] - lams[:, 0] < tol * scale):
         raise SingularCaustic("coinciding caustic parameters")
+
+
+def _omega_rows(lams, ell: Ellipsoid, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies of many caustic parameter rows, (omega[N, n], err[N], converged[N]).
+
+    All n+1 intervals of every row go into one ``period_integrals`` call;
+    then, with J_k(I_i) the integral of s^k/sqrt(P) over interval I_i,
+    each row solves  sum_{i=1..n} (-1)^(i+1) J_k(I_i) omega_i = J_k(I_0)/2
+    for k < n.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1, ell.n)
+    _check_nonsingular(lams, ell)
+    N, n1 = len(lams), ell.dim
+    roots = np.sort(np.concatenate([np.broadcast_to(ell.a, (N, n1)), lams], axis=1), axis=1)
+    breaks = np.concatenate([np.zeros((N, 1)), roots], axis=1)
+    vals, err, ok = period_integrals(breaks[:, 0::2].ravel(), breaks[:, 1::2].ravel(),
+                                     np.repeat(roots, n1, axis=0), range(ell.n), tol=tol)
+    J = vals.reshape(N, n1, ell.n)                  # J[row, interval, power]
+    signs = np.where(np.arange(1, n1) % 2, 1.0, -1.0)
+    mat = np.swapaxes(J[:, 1:, :], 1, 2) * signs    # mat[row, k, i]
+    omega = np.linalg.solve(mat, 0.5 * J[:, 0, :, None])[..., 0]
+    return (omega, np.maximum(err.reshape(N, n1).max(axis=1), tol),
+            ok.reshape(N, n1).all(axis=1))
+
+
+def _converged_omega(lams, ell: Ellipsoid, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """``_omega_rows`` that raises QuadratureNotConverged for any unconverged row."""
+    lams = np.asarray(lams, dtype=float).reshape(-1, ell.n)
+    omega, err, ok = _omega_rows(lams, ell, _quad_tol(tol))
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise QuadratureNotConverged(
+            f"period integrals for caustic parameters {tuple(lams[bad].tolist())} on "
+            f"{ell.axes} missed the tolerance (change {err[bad]:.3e} at the finest level)")
+    return omega, err
+
+
+def _frequency_value(lam: CausticParams, ell: Ellipsoid, tol: float | None) -> FrequencyValue:
+    omega, err = _converged_omega([lam.lambdas], ell, tol)
+    return FrequencyValue(tuple(float(v) for v in omega[0]), float(err[0]))
 
 
 def rotation_number(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
     """rho(lam) for n = 1: half the ratio of the two period integrals."""
     if ell.n != 1:
         raise UnsupportedDimension("rotation number is the n=1 frequency")
-    _check_nonsingular(lam, ell)
-    tol = _quad_tol(tol)
-    J, err = _interval_periods(lam, ell, (0,), tol)
-    rho = float(J[0, 0] / (2.0 * J[0, 1]))
-    return FrequencyValue((rho,), max(err, tol))
+    return _frequency_value(lam, ell, tol)
 
 
 def frequency_map(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
     """omega(lam) for n = 2 from the 2x2 period-integral system."""
     if ell.n != 2:
         raise UnsupportedDimension("frequency map implemented for n=2")
-    _check_nonsingular(lam, ell)
-    tol = _quad_tol(tol)
-    J, err = _interval_periods(lam, ell, (0, 1), tol)
-    mat = np.array([[J[0, 1], -J[0, 2]], [J[1, 1], -J[1, 2]]])
-    rhs = 0.5 * np.array([J[0, 0], J[1, 0]])
-    om = np.linalg.solve(mat, rhs)
-    return FrequencyValue(tuple(float(v) for v in om), max(err, tol))
+    return _frequency_value(lam, ell, tol)
 
 
 def frequencies(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
@@ -379,6 +401,9 @@ def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
 # Inversion
 # --------------------------------------------------------------------------
 
+_SCAN_BLOCK = 96     # grid points per batched frequency evaluation
+
+
 def _edge_clustered_grid(lo: float, hi: float, per_edge: int = 14) -> np.ndarray:
     """Grid on (lo, hi) clustered geometrically toward both endpoints.
 
@@ -419,7 +444,7 @@ def _invert_1d(target: float, ctype: str, ell: Ellipsoid,
         return rotation_number(CausticParams((x,), ctype), ell, quad_tol).omega[0] - target
 
     grid = _edge_clustered_grid(lo, hi, 17)
-    vals = np.array([f(x) for x in grid])
+    vals = _converged_omega(grid, ell, quad_tol)[0][:, 0] - target
     idx = None
     for k in range(len(grid) - 1):
         if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
@@ -467,15 +492,21 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
         lamP = CausticParams((lam[0], lam[1]), ctype)
         return np.array(frequency_map(lamP, ell, quad_tol).omega) - target
 
+    def resid_rows(lams):
+        omega, _, ok = _omega_rows(lams, ell, tol)
+        return omega - target, ok
+
     g1 = _edge_clustered_grid(lo1, hi1)
     g2 = _edge_clustered_grid(lo2, hi2)
+    grid = np.array([(x1, x2) for x1 in g1 for x2 in g2
+                     if not (ordered and x2 <= x1 + margin)]).reshape(-1, 2)
+    tol = _quad_tol(quad_tol)
     scored = []
-    for x1 in g1:
-        for x2 in g2:
-            if ordered and x2 <= x1 + margin:
-                continue
-            r = resid(np.array([x1, x2]))
-            scored.append((float(np.max(np.abs(r))), float(x1), float(x2)))
+    for k in range(0, len(grid), _SCAN_BLOCK):
+        block = grid[k:k + _SCAN_BLOCK]
+        omega, _, ok = _omega_rows(block, ell, tol)
+        norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
+        scored += zip(norms.tolist(), block[:, 0].tolist(), block[:, 1].tolist())
     scored.sort()
     if not scored or scored[0][0] > 0.45:
         raise NoSolutionInComponent(
@@ -483,7 +514,7 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
 
     best_norm = math.inf
     for start_norm, x1, x2 in scored[:6]:
-        lam, nrm = _newton_2d(resid, clip, np.array([x1, x2]),
+        lam, nrm = _newton_2d(resid, resid_rows, clip, np.array([x1, x2]),
                               (lo1, hi1), (lo2, hi2), tol_omega)
         if nrm <= tol_omega:
             return CausticParams((lam[0], lam[1]), ctype)
@@ -492,12 +523,21 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
 
 
-def _newton_2d(resid, clip, lam0, b1, b2, tol_omega):
+def _newton_2d(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
     """Damped Newton in logistic coordinates of each component interval.
 
     The frequencies vary logarithmically near the interval edges; the
     logistic substitution makes the map roughly affine there, so Newton
     can approach solutions sitting 1e-5 from an edge.
+
+    ``resid`` evaluates one point; ``resid_rows`` many in one batch, with
+    a per-row converged flag.  The four central-difference points of a
+    Jacobian go in one batch.  The line search tries the full step alone
+    and, when it does not improve, the nine damped steps in one batch;
+    it takes the first that improves, as a one-by-one search would, and
+    raises where that search would have met an unconverged point.  A step
+    that improves nothing leaves the iterate as it was, so any retry would
+    repeat the same Jacobian and the same search: Newton stops there.
     """
     los = np.array([b1[0], b2[0]])
     widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
@@ -512,35 +552,32 @@ def _newton_2d(resid, clip, lam0, b1, b2, tol_omega):
     s = to_s(lam0)
     r = resid(to_lam(s))
     nrm = float(np.max(np.abs(r)))
-    stall = 0
     for _ in range(60):
         if nrm <= tol_omega:
             break
-        jac = np.empty((2, 2))
         h = 1e-5
-        for j in range(2):
-            dp = np.zeros(2)
-            dp[j] = h
-            jac[:, j] = (resid(to_lam(s + dp)) - resid(to_lam(s - dp))) / (2.0 * h)
+        pts = np.array([to_lam(s + sign * h * e) for e in np.eye(2) for sign in (1.0, -1.0)])
+        rp, ok = resid_rows(pts)
+        if not ok.all():
+            resid(pts[np.argmin(ok)])       # raises QuadratureNotConverged
+        jac = np.column_stack([rp[0] - rp[1], rp[2] - rp[3]]) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             break
         step = np.clip(step, -8.0, 8.0)
-        damp, improved = 1.0, False
-        for _ in range(10):
-            cand = s + damp * step
-            rc = resid(to_lam(cand))
-            nc = float(np.max(np.abs(rc)))
-            if nc < nrm:
-                s, r, nrm = cand, rc, nc
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
+        cands = s + 0.5 ** np.arange(10)[:, None] * step
+        rc = resid(to_lam(cands[0]))[None]
+        ok = np.ones(1, dtype=bool)
+        if not float(np.max(np.abs(rc))) < nrm:
+            rest, ok_rest = resid_rows(np.array([to_lam(c) for c in cands[1:]]))
+            rc, ok = np.vstack([rc, rest]), np.concatenate([ok, ok_rest])
+        norms = np.where(ok, np.max(np.abs(rc), axis=1), math.inf)
+        better = np.flatnonzero(norms < nrm)
+        first = better[0] if better.size else len(norms)
+        if not ok[:first].all():
+            resid(to_lam(cands[np.argmin(ok)]))     # raises QuadratureNotConverged
+        if not better.size:
+            break
+        s, r, nrm = cands[first], rc[first], float(norms[first])
     return to_lam(s), nrm

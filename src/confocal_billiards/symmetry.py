@@ -132,42 +132,55 @@ def forbidden_reversors(ctype: str, n: int) -> set[Reversor]:
 # Membership predicates
 # --------------------------------------------------------------------------
 
-def symmetry_set_residual(r: Reversor, m: PhasePoint, ell: Ellipsoid) -> float:
-    """How far the phase point is from Fix(r), as a max of defining residuals.
+def symmetry_set_residuals(r: Reversor, Q, P, ell: Ellipsoid) -> np.ndarray:
+    """How far each phase point (rows of Q, P) is from Fix(r).
+
+    Each residual is a max of defining residuals.
 
     Tilde family: q fixed by sigma and p normal to the symmetry section.
     Hat family: p antisymmetric under sigma and the line through (q, p)
     meeting the sigma-fixed subspace.  The two empty fixed sets come out
     naturally as infinite residuals.
     """
-    q, p = m.q_arr, m.p_arr
+    Q = np.asarray(Q, dtype=float)
+    P = np.asarray(P, dtype=float)
     sig = r.sigma.arr
-    if r.family == "tilde":
-        q_minus = 0.5 * (q - sig * q)
-        nrm = ell.normal(q)
-        n_plus = 0.5 * (nrm + sig * nrm)
-        size = float(np.linalg.norm(n_plus))
-        if size == 0.0:
-            return math.inf
-        n_hat = n_plus / size
-        p_plus = 0.5 * (p + sig * p)
-        res_p = p_plus - float(p_plus @ n_hat) * n_hat
-        return max(float(np.max(np.abs(q_minus))), float(np.max(np.abs(res_p))))
-    p_plus = 0.5 * (p + sig * p)
-    p_minus = 0.5 * (p - sig * p)
-    size2 = float(p_minus @ p_minus)
-    if size2 == 0.0:
-        return math.inf
-    q_minus = 0.5 * (q - sig * q)
-    t = -float(q_minus @ p_minus) / size2
-    res_line = q_minus + t * p_minus
-    return max(float(np.max(np.abs(p_plus))), float(np.max(np.abs(res_line))))
+    q_minus = 0.5 * (Q - sig * Q)
+    p_plus = 0.5 * (P + sig * P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r.family == "tilde":
+            nrm = ell.normal(Q)
+            n_plus = 0.5 * (nrm + sig * nrm)
+            size = np.linalg.norm(n_plus, axis=1)
+            n_hat = n_plus / size[:, None]
+            res_p = p_plus - np.einsum("ij,ij->i", p_plus, n_hat)[:, None] * n_hat
+            out = np.maximum(np.max(np.abs(q_minus), axis=1), np.max(np.abs(res_p), axis=1))
+            empty = size == 0.0
+        else:
+            p_minus = 0.5 * (P - sig * P)
+            size2 = np.einsum("ij,ij->i", p_minus, p_minus)
+            t = -np.einsum("ij,ij->i", q_minus, p_minus) / size2
+            res_line = q_minus + t[:, None] * p_minus
+            out = np.maximum(np.max(np.abs(p_plus), axis=1), np.max(np.abs(res_line), axis=1))
+            empty = size2 == 0.0
+    out[empty] = math.inf
+    return out
+
+
+def symmetry_set_residual(r: Reversor, m: PhasePoint, ell: Ellipsoid) -> float:
+    """``symmetry_set_residuals`` of one phase point."""
+    return float(symmetry_set_residuals(r, [m.q], [m.p], ell)[0])
+
+
+def symmetry_set_members(r: Reversor, Q, P, ell: Ellipsoid, tol: float = 1e-10) -> np.ndarray:
+    """Indices of the phase points (rows of Q, P) in Fix(r), within tol (scale-normalized)."""
+    return np.flatnonzero(symmetry_set_residuals(r, Q, P, ell) <= tol * max(1.0, ell.axes[-1]))
 
 
 def symmetry_set_contains(r: Reversor, m: PhasePoint, ell: Ellipsoid,
                           tol: float = 1e-10) -> bool:
     """Membership in Fix(r) within tol (scale-normalized by the top axis)."""
-    return symmetry_set_residual(r, m, ell) <= tol * max(1.0, ell.axes[-1])
+    return symmetry_set_members(r, [m.q], [m.p], ell, tol).size > 0
 
 
 # --------------------------------------------------------------------------

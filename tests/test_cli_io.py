@@ -167,3 +167,23 @@ def test_quad_tol_env_rejected(value, monkeypatch, capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "ValueError"
     assert "CONFOCAL_QUAD_TOL" in payload["message"]
+
+
+def test_spt_find_bytes_independent_of_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import confocal_billiards
+    src = str(Path(confocal_billiards.__file__).resolve().parents[1])
+    docs = []
+    for seed in ("1", "2", "3"):
+        out = tmp_path / f"spt-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "confocal_billiards.cli", "spt", "find",
+                        "--class", "E:Rx+Ry", "--axes", "0.16,1.0", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1] == docs[2]

@@ -294,3 +294,52 @@ def test_quad_tol_env_override(ell_mid, monkeypatch):
     fine = frequency_map(lam, ell_mid)
     assert coarse.error >= 1e-6 > fine.error
     assert max(abs(a - b) for a, b in zip(coarse.omega, fine.omega)) < 1e-6
+
+
+def _counting_inversions(monkeypatch, classes):
+    """Run minimal_atlas over ``classes`` only; count invert_frequency per key."""
+    from collections import Counter
+    from confocal_billiards import engine
+    calls = Counter()
+
+    def counting(target, ctype, ell, *args, **kwargs):
+        calls[(ell.axes, ctype, tuple(target))] += 1
+        return original(target, ctype, ell, *args, **kwargs)
+
+    original = engine.invert_frequency
+    monkeypatch.setattr(engine, "invert_frequency", counting)
+    monkeypatch.setattr(engine, "enumerate_classes", lambda n: classes if n == 2 else [])
+    return calls
+
+
+# four EH2 classes share the minimal winding (8, 4, 2); its target is
+# missed on every stock shape and reached only on a fallback shape
+EH2_842 = ("EH2:R1+R13", "EH2:fR1+fR13", "EH2:R2+R23", "EH2:fR2+fR23")
+
+
+def test_atlas_inverts_each_key_once(monkeypatch, atlas):
+    from confocal_billiards import minimal_atlas
+    classes = [class_by_id(c, 2) for c in EH2_842]
+    calls = _counting_inversions(monkeypatch, classes)
+    result = minimal_atlas()
+    assert max(calls.values()) == 1 and len(calls) > 2
+    assert not result.failures
+    reference = {t.class_id: t for t in atlas.trajectories}
+    for traj in result.trajectories:
+        ref = reference[traj.class_id]
+        assert traj.ellipsoid == ref.ellipsoid and traj.caustic == ref.caustic
+        assert np.array_equal(traj.impacts, ref.impacts)
+    assert [t.class_id for t in result.trajectories] == list(EH2_842)
+
+
+def test_atlas_repeats_failures_from_cache(monkeypatch):
+    from confocal_billiards import STOCK_ELLIPSOIDS_3D, NoSolutionInComponent, minimal_atlas
+    classes = [class_by_id(c, 2) for c in EH2_842]
+    flat, thin = STOCK_ELLIPSOIDS_3D[0], STOCK_ELLIPSOIDS_3D[2]
+    target = WindingNumbers((8, 4, 2)).target()
+    with pytest.raises(NoSolutionInComponent) as miss:
+        invert_frequency(target, "EH2", flat)
+    calls = _counting_inversions(monkeypatch, classes)
+    result = minimal_atlas(extra_shapes=())
+    assert sorted(calls.values()) == [1, 1]            # thin, then flat
+    assert result.failures == [(c, str(miss.value)) for c in EH2_842]

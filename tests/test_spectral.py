@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confocal_billiards import (
     CausticParams,
     Ellipsoid,
     NoSolutionInComponent,
+    QuadratureNotConverged,
     SingularCaustic,
     WindingNumbers,
     count_windings,
@@ -18,7 +23,9 @@ from confocal_billiards import (
     rotation_number,
     seed_point,
 )
+from confocal_billiards import quadrature, spectral
 from confocal_billiards.dynamics import reversor_from_key
+from confocal_billiards.geometry import caustic_component_bounds
 from confocal_billiards.spectral import (
     default_tangent_start,
     empirical_frequency_batch,
@@ -161,3 +168,172 @@ def test_count_windings_golden(ell_mid):
     m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side=1)
     qs, _ = iterate_orbit(m, ell_mid, 4)
     assert count_windings(qs, lam, ell_mid) == (4, 3, 2)
+
+
+# --------------------------------------------------------------------------
+# Batched frequency layer
+# --------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SHAPE_TYPES = [((0.16, 1.0), "E"), ((0.16, 1.0), "H"), ((0.02, 1.0), "H")] + [
+    (axes, ctype) for axes in ((0.13, 0.8, 1.0), (0.02, 0.1, 1.0))
+    for ctype in ("EH1", "H1H1", "EH2", "H1H2")]
+# relative positions in a component: uniform, or 1e-7 from either edge
+POSITION = st.one_of(st.floats(1e-4, 1.0 - 1e-4), st.sampled_from([1e-7, 1.0 - 1e-7]))
+
+
+@st.composite
+def caustic_rows(draw):
+    axes, ctype = draw(st.sampled_from(SHAPE_TYPES))
+    ell = Ellipsoid(axes)
+    bounds = caustic_component_bounds(ctype, ell)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = sorted(lo + draw(POSITION) * (hi - lo) for lo, hi in bounds)
+        assume(all(b - a > 1e-6 for a, b in zip(row, row[1:])))
+        rows.append(row)
+    return ell, ctype, np.array(rows)
+
+
+@PROPERTY
+@given(caustic_rows())
+def test_batched_omega_matches_per_row_wrappers(case):
+    ell, ctype, rows = case
+    omega, err, ok = spectral._omega_rows(rows, ell, 1e-12)
+    assert ok.all() and np.all(err >= 1e-12)
+    scalar = spectral.rotation_number if ell.n == 1 else spectral.frequency_map
+    for row, om in zip(rows, omega):
+        ref = scalar(CausticParams(tuple(row), ctype), ell).omega
+        assert np.max(np.abs(om - np.array(ref))) <= 1e-12
+
+
+def _direct_level_sum(alpha, beta, roots, k, level):
+    """Non-nested tanh-sinh sum of s^k / sqrt(|P(s)|) at one level."""
+    h = 2.0 ** (-level)
+    t = np.arange(-int(4.0 / h), int(4.0 / h) + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    x = np.tanh(u)
+    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    e = np.exp(-2.0 * np.abs(u))
+    one_minus_abs = 2.0 * e / (1.0 + e)
+    r, mid = 0.5 * (beta - alpha), 0.5 * (beta + alpha)
+    dleft = r * np.where(x < 0.0, one_minus_abs, 1.0 + x)
+    dright = r * np.where(x > 0.0, one_minus_abs, 1.0 - x)
+    prod = np.ones_like(x)
+    for root in roots:
+        prod *= alpha - root + dleft if root <= alpha else root - beta + dright
+    return r * np.sum(w * (mid + r * x) ** k / np.sqrt(prod))
+
+
+@pytest.mark.parametrize("level", [4, 6, 8])
+def test_nested_levels_equal_direct_sum(level):
+    # intervals I_0 and I_1 of a caustic pair next to the golden (8,4,2) row
+    roots = np.array([0.05, 0.13007682, 0.45741441, 0.95, 1.0])
+    alpha = np.array([0.0, 0.13007682])
+    beta = np.array([0.05, 0.45741441])
+    # a tol no change can meet keeps every row to max_level
+    vals, err, ok = quadrature.period_integrals(alpha, beta, np.tile(roots, (2, 1)), (0, 1),
+                                                tol=-1.0, max_level=level)
+    assert not ok.any() and np.all(np.isfinite(err))
+    for i in range(2):
+        for c, k in enumerate((0, 1)):
+            ref = _direct_level_sum(alpha[i], beta[i], roots, k, level)
+            assert abs(vals[i, c] - ref) <= 1e-14 * abs(ref)
+
+
+def test_quadrature_non_convergence_is_reported(ell_mid, ell2d):
+    with pytest.raises(QuadratureNotConverged):
+        frequency_map(CausticParams.from_values((0.2, 0.6), ell_mid), ell_mid, tol=-1.0)
+    with pytest.raises(QuadratureNotConverged):
+        rotation_number(CausticParams((0.1,), "E"), ell2d, tol=-1.0)
+
+
+@pytest.mark.parametrize("ctype,m,axes", [
+    ("H1H1", (4, 3, 2), (0.13, 0.8, 1.0)),
+    ("EH2", (5, 4, 2), (0.2, 0.3969, 1.0)),
+    ("H1H2", (6, 4, 2), (0.13, 0.45, 1.0)),
+    ("EH1", (6, 4, 2), (0.13, 0.8, 1.0)),
+])
+def test_golden_inversion_scans_in_batches(monkeypatch, ctype, m, axes):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = spectral.frequency_map
+    monkeypatch.setattr(spectral, "frequency_map", counting)
+    invert_frequency(WindingNumbers(m).target(), ctype, Ellipsoid(axes))
+    assert 0 < len(calls) < 100
+
+
+def _newton_one_point(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
+    """Reference Newton: every point on its own, three retries on a stall."""
+    los = np.array([b1[0], b2[0]])
+    widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
+
+    def to_lam(s):
+        return clip(los + widths / (1.0 + np.exp(-s)))
+
+    u = np.clip((lam0 - los) / widths, 1e-12, 1.0 - 1e-12)
+    s = np.log(u / (1.0 - u))
+    r = resid(to_lam(s))
+    nrm = float(np.max(np.abs(r)))
+    stall = 0
+    for _ in range(60):
+        if nrm <= tol_omega:
+            break
+        h = 1e-5
+        jac = np.empty((2, 2))
+        for j in range(2):
+            dp = np.zeros(2)
+            dp[j] = h
+            jac[:, j] = (resid(to_lam(s + dp)) - resid(to_lam(s - dp))) / (2.0 * h)
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            break
+        step = np.clip(step, -8.0, 8.0)
+        damp, improved = 1.0, False
+        for _ in range(10):
+            cand = s + damp * step
+            rc = resid(to_lam(cand))
+            nc = float(np.max(np.abs(rc)))
+            if nc < nrm:
+                s, r, nrm, improved = cand, rc, nc, True
+                break
+            damp *= 0.5
+        stall = 0 if improved else stall + 1
+        if stall >= 3:
+            break
+    return to_lam(s), nrm
+
+
+def _inversion_outcome(target, ctype, ell):
+    try:
+        return invert_frequency(target, ctype, ell).lambdas
+    except NoSolutionInComponent as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ctype,m,axes", [
+    ("EH2", (5, 4, 2), (0.2, 0.3969, 1.0)),     # golden row: the first start converges
+    ("H1H2", (8, 6, 2), (0.13, 0.45, 1.0)),     # every start stalls
+    ("EH2", (8, 4, 2), (0.05, 0.95, 1.0)),      # starts improve, then stall
+])
+def test_batched_newton_matches_one_point_search(monkeypatch, ctype, m, axes):
+    ell, target = Ellipsoid(axes), WindingNumbers(m).target()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = spectral.frequency_map
+    monkeypatch.setattr(spectral, "frequency_map", counting)
+    batched = _inversion_outcome(target, ctype, ell)
+    batched_calls = len(calls)
+    monkeypatch.setattr(spectral, "_newton_2d", _newton_one_point)
+    assert batched == _inversion_outcome(target, ctype, ell)
+    # same iterates from far fewer one-point evaluations
+    assert 0 < 3 * batched_calls < len(calls) - batched_calls

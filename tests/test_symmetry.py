@@ -22,8 +22,8 @@ from confocal_billiards import (
     symmetry_set_residual,
     vertex_of_reversor,
 )
-from confocal_billiards.dynamics import reversor_from_key
-from confocal_billiards.symmetry import CuboidVertex
+from confocal_billiards.dynamics import all_reversors, reversor_from_key
+from confocal_billiards.symmetry import CuboidVertex, symmetry_set_members, symmetry_set_residuals
 from conftest import random_phase_point
 
 FEASIBLE_2D = {
@@ -145,6 +145,24 @@ def test_random_fix_points_pass_their_own_predicate(ell_mid, rng):
             assert symmetry_set_residual(r, m, ell_mid) < 1e-12
             assert abs(ell_mid.constraint(m.q_arr)) < 1e-12
             assert float(ell_mid.normal(m.q_arr) @ m.p_arr) > 0.0
+
+
+def test_members_of_a_stack_of_phase_points(ell_mid, rng):
+    points = [(r.key, random_fix_point(r, ell_mid, rng))
+              for r in nonempty_reversors(3) for _ in range(3)]
+    points += [(None, PhasePoint(*map(tuple, random_phase_point(ell_mid, rng))))
+               for _ in range(10)]
+    Q = np.array([m.q for _, m in points])
+    P = np.array([m.p for _, m in points])
+    for r in all_reversors(3):
+        res = symmetry_set_residuals(r, Q, P, ell_mid)
+        if r.is_empty_set:
+            assert np.all(res == math.inf)
+            continue
+        single = [symmetry_set_residual(r, m, ell_mid) for _, m in points]
+        assert np.allclose(res, single, rtol=1e-14, atol=1e-17)
+        expected = [j for j, (key, _) in enumerate(points) if key == r.key]
+        assert symmetry_set_members(r, Q, P, ell_mid, tol=1e-8).tolist() == expected
 
 
 def test_seed_2d_closed_forms(ell_unit2d):
