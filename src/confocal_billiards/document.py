@@ -87,18 +87,44 @@ def trajectory_to_document(t: Trajectory, report: VerificationReport | None = No
 
 
 def trajectory_from_document(doc: dict) -> Trajectory:
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported document schema {doc.get('schema')!r}")
-    ell = Ellipsoid(tuple(doc["axes"]))
-    lam = CausticParams(tuple(doc["caustic"]["lambdas"]), doc["caustic"]["type"])
+    """Rebuild a trajectory, checking the document against itself.
+
+    The caustic goes through ``CausticParams.from_values`` and its stored
+    type must match; ``winding`` must be dim positive integers, and
+    ``impacts`` and ``velocities`` finite arrays of shape
+    ``(winding[0] + 1, dim)``.  A document that fails raises ValueError
+    (or the BilliardError of the caustic check), never a wrong trajectory.
+    """
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        schema = doc.get("schema") if isinstance(doc, dict) else doc
+        raise ValueError(f"unsupported document schema {schema!r}")
+    try:
+        ell = Ellipsoid(tuple(float(v) for v in doc["axes"]))
+        lam = CausticParams.from_values(doc["caustic"]["lambdas"], ell)
+        ctype = doc["caustic"]["type"]
+        m = doc["winding"]
+        if len(m) != ell.dim or not all(type(v) is int for v in m):
+            raise ValueError(f"winding {m!r} is not {ell.dim} integers")
+        winding = WindingNumbers(tuple(m))
+        rows = {key: np.array(doc[key], dtype=float) for key in ("impacts", "velocities")}
+        branch = int(doc.get("branch", 0))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trajectory document: {type(exc).__name__}: {exc}") from None
+    if ctype != lam.ctype:
+        raise ValueError(f"caustic type {ctype!r} does not match the lambdas "
+                         f"{lam.lambdas} (type {lam.ctype})")
+    shape = (winding.period + 1, ell.dim)
+    for key, arr in rows.items():
+        if arr.shape != shape or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{key} must be finite with shape {shape}, got {arr.shape}")
     return Trajectory(
         ellipsoid=ell,
         caustic=lam,
-        winding=WindingNumbers(tuple(doc["winding"])),
-        impacts=np.array(doc["impacts"], dtype=float),
-        velocities=np.array(doc["velocities"], dtype=float),
+        winding=winding,
+        impacts=rows["impacts"],
+        velocities=rows["velocities"],
         class_id=doc.get("class_id"),
-        branch=int(doc.get("branch", 0)),
+        branch=branch,
     )
 
 

@@ -18,7 +18,9 @@ reflection.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -189,36 +191,83 @@ def nonempty_reversors(dim: int) -> list[Reversor]:
 # Maps (array-level kernels plus PhasePoint wrappers)
 # --------------------------------------------------------------------------
 
-def _step_arrays(q: np.ndarray, p: np.ndarray, a: np.ndarray,
-                 project: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    g = q / a
-    gp = float(g @ p)
-    if abs(gp) < _TANGENT_TOL:
-        raise DegenerateImpact(f"tangential impact at {q}")
-    nu = -2.0 * gp / float(g @ g)
-    p1 = p + nu * g
-    mu = -2.0 * float(g @ p1) / float(p1 @ (p1 / a))
-    q1 = q + mu * p1
-    if project:
-        q1 = _project(q1, a)
-        p1 = p1 / np.linalg.norm(p1)
-    return q1, p1
+#: The bounce loop, one template for every dimension.  ``#`` stands for a
+#: coordinate index: a statement holding it is repeated for each
+#: coordinate, ``{+ e}`` is the sum of e over the coordinates, left to
+#: right as numpy sums a row, and ``{, e}`` is their tuple.
+_BOUNCE_LOOP = """
+def loop(q, p, a, steps, project, qs, ps):
+    A# = a[#]
+    Q# = q[#]
+    P# = p[#]
+    for k in range(1, steps + 1):
+        G# = Q# / A#
+        gp = {+ G# * P#}
+        if abs(gp) < tol:
+            q = {, Q#}
+            raise DegenerateImpact(f"tangential impact at {q}")
+        nu = -2.0 * gp / {+ G# * G#}
+        P# = P# + nu * G#
+        mu = -2.0 * {+ G# * P#} / {+ P# * (P# / A#)}
+        Q# = Q# + mu * P#
+        if project:
+            G# = Q# / A#
+            c2 = {+ G# * (G# / A#)}
+            c1 = 2.0 * {+ G# * G#}
+            c0 = {+ Q# * G#} - 1.0
+            t = 2.0 * c0 / (c1 + sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)))
+            Q# = Q# - t * G#
+            s = sqrt({+ P# * P#})
+            P# = P# / s
+        qs[k] = {, Q#}
+        ps[k] = {, P#}
+"""
 
 
-def _project(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    g = q / a
-    c2 = float(g @ (g / a))
-    c1 = 2.0 * float(g @ g)
-    c0 = float(q @ g) - 1.0
-    disc = c1 * c1 - 4.0 * c2 * c0
-    t = 2.0 * c0 / (c1 + math.sqrt(max(disc, 0.0)))
-    return q - t * g
+@lru_cache(maxsize=None)
+def _bounce_loop(d: int):
+    """``_BOUNCE_LOOP`` written out for dimension d and compiled, once per d."""
+    def each(text: str, sep: str) -> str:
+        return sep.join(text.replace("#", str(j)) for j in range(d))
+
+    lines = []
+    for line in _BOUNCE_LOOP.splitlines():
+        line = re.sub(r"\{([+,]) (.*?)\}", lambda m: (
+            f"({each(m[2], ' + ')})" if m[1] == "+" else each(m[2], ", ")), line)
+        if "#" in line:
+            body = line.lstrip()
+            line = line[:len(line) - len(body)] + each(body, "; ")
+        lines.append(line)
+    namespace = {"sqrt": math.sqrt, "tol": _TANGENT_TOL, "DegenerateImpact": DegenerateImpact}
+    exec(compile("\n".join(lines), f"<bounce loop, d={d}>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _orbit(q, p, a, steps: int, project: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Impacts and velocities of ``steps`` bounces from (q, p), rows 0..steps.
+
+    The one bounce kernel.  Each bounce raises DegenerateImpact on a
+    tangential impact; with ``project`` it then shifts the impact along
+    Dq back onto the surface (the root of ``<D(q - t Dq), q - t Dq> = 1``
+    nearest 0) and renormalizes the velocity.  The loop runs on Python
+    floats with every coordinate in its own local: at d <= 4, numpy's
+    per-call overhead and even a Python loop over the coordinates cost
+    more than the arithmetic.
+    """
+    d = len(a)
+    qs = np.empty((steps + 1, d))
+    ps = np.empty((steps + 1, d))
+    q = [float(v) for v in q]
+    p = [float(v) for v in p]
+    qs[0], ps[0] = q, p
+    _bounce_loop(d)(q, p, [float(v) for v in a], steps, project, qs, ps)
+    return qs, ps
 
 
 def billiard_map(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:
     """One bounce: reflect the velocity, advance to the next impact."""
-    q1, p1 = _step_arrays(m.q_arr, m.p_arr, ell.a, project)
-    return PhasePoint(tuple(q1), tuple(p1))
+    qs, ps = _orbit(m.q, m.p, ell.a, 1, project)
+    return PhasePoint(tuple(qs[1]), tuple(ps[1]))
 
 
 def billiard_map_inverse(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:
@@ -259,12 +308,4 @@ def dual_map(m: PhasePoint, ell: Ellipsoid) -> PhasePoint:
 def iterate_orbit(m: PhasePoint, ell: Ellipsoid, steps: int,
                   *, project: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Impact and velocity sequences of f^0(m), ..., f^steps(m)."""
-    a = ell.a
-    qs = np.empty((steps + 1, ell.dim))
-    ps = np.empty((steps + 1, ell.dim))
-    q, p = m.q_arr, m.p_arr
-    qs[0], ps[0] = q, p
-    for k in range(1, steps + 1):
-        q, p = _step_arrays(q, p, a, project)
-        qs[k], ps[k] = q, p
-    return qs, ps
+    return _orbit(m.q, m.p, ell.a, steps, project)

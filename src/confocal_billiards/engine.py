@@ -26,6 +26,8 @@ from .errors import (
     BilliardError,
     FeasibilityError,
     NoSolutionInComponent,
+    QuadratureNotConverged,
+    SingularCaustic,
     UnsupportedDimension,
     VerificationFailed,
 )
@@ -57,6 +59,8 @@ STOCK_ELLIPSOIDS_3D = (
     Ellipsoid((0.25, 0.49, 1.0)),
 )
 STOCK_ELLIPSOID_2D = Ellipsoid((0.16, 1.0))
+#: How an inversion can fail for one class without touching the others.
+_INVERSION_FAILURES = (NoSolutionInComponent, QuadratureNotConverged, SingularCaustic)
 
 #: Extra nearly-degenerate shapes: a few minimal winding targets fall
 #: outside the frequency range of every stock shape, but flat or
@@ -542,16 +546,16 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
     failures: list[tuple[str, str]] = []
     # (axes, ctype, winding) -> caustic parameters, or the failed inversion's
     # exception: many classes share a key, and a repeated miss is re-raised.
-    lam_cache: dict[tuple, CausticParams | NoSolutionInComponent] = {}
+    lam_cache: dict[tuple, CausticParams | BilliardError] = {}
 
     def inverted(shape: Ellipsoid, cls: SptClass, w: WindingNumbers) -> CausticParams:
         key = (shape.axes, cls.ctype, w.m)
         if key not in lam_cache:
             try:
                 lam_cache[key] = invert_frequency(w.target(), cls.ctype, shape)
-            except NoSolutionInComponent as exc:
+            except _INVERSION_FAILURES as exc:
                 lam_cache[key] = exc.with_traceback(None)   # frames not kept alive
-        if isinstance(lam_cache[key], NoSolutionInComponent):
+        if isinstance(lam_cache[key], BilliardError):
             raise lam_cache[key]
         return lam_cache[key]
 
@@ -572,7 +576,7 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
                     trajectories.append(traj)
                     last_err = None
                     break
-                except (NoSolutionInComponent, VerificationFailed, FeasibilityError) as exc:
+                except _INVERSION_FAILURES + (VerificationFailed, FeasibilityError) as exc:
                     last_err = exc
             if last_err is not None:
                 failures.append((cls.class_id, str(last_err)))

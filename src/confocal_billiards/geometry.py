@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class Ellipsoid:
         axes = tuple(float(a) for a in self.axes)
         if len(axes) < 2:
             raise ValueError("need at least two axes")
-        if axes[0] <= 0.0 or any(b <= a for a, b in zip(axes, axes[1:])):
-            raise ValueError("axes must be positive and strictly increasing")
+        if not (0.0 < axes[0] and all(a < b < math.inf for a, b in zip(axes, axes[1:]))):
+            raise ValueError("axes must be finite, positive and strictly increasing")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -405,109 +406,46 @@ def caustic_params_of_line(q, p, ell: Ellipsoid, *, tol: float = 1e-12) -> Caust
 # Tangent directions from a surface point
 # --------------------------------------------------------------------------
 
-def _tangency_form(q, lam_value: float, ell: Ellipsoid) -> np.ndarray:
-    """Quadratic form on directions whose null cone is tangency to Q_lam."""
-    q = np.asarray(q, dtype=float)
-    d = ell.a - lam_value
-    g = q / d
-    return np.outer(g, g) - (float(q @ g) - 1.0) * np.diag(1.0 / d)
-
-
-def tangent_directions(q, lam: CausticParams, ell: Ellipsoid, *, samples: int = 720) -> list[np.ndarray]:
+def tangent_directions(q, lam: CausticParams, ell: Ellipsoid) -> list[np.ndarray]:
     """Outward unit directions at q in Q tangent to every caustic of lam.
 
-    Up to two lines in 2D and four in 3D.  Empty when q lies outside the
-    band of the surface reached by trajectories with these caustics.
+    Closed form (Jacobi/Chasles; Moser 1980, "Geometry of quadrics and
+    spectral theory"): at a point with elliptic coordinates mu, a line
+    tangent to the caustics lam has, in the orthonormal frame
+    ``e_i ~ grad mu_i``, the components
+
+        p_i^2 = prod_k (mu_i - lam_k) / prod_{j != i} (mu_i - mu_j).
+
+    e_0 is the outward normal, so p_0 > 0; the other n signs are free,
+    giving up to 2^n lines (two in 2D, four in 3D).  Where mu_i equals an
+    axis a_j (q on the hyperplane x_j = 0), e_i is the unit vector of axis
+    j.  Empty when some p_i^2 < 0, that is when q lies outside the band of
+    the surface reached by trajectories with these caustics, or when q
+    sits next to a focal conic.
     """
     q = np.asarray(q, dtype=float)
-    if ell.n == 1:
-        form = _tangency_form(q, lam.lambdas[0], ell)
-        dirs = _null_directions_2d(form)
-    elif ell.n == 2:
-        f1 = _tangency_form(q, lam.lambdas[0], ell)
-        f2 = _tangency_form(q, lam.lambdas[1], ell)
-        dirs = _cone_intersections(f1, f2, samples)
-    else:
-        raise UnsupportedDimension("tangent directions implemented for n <= 2")
+    mu, ok = elliptic_coords(q[None], ell)
+    mu = mu[0]
+    if not ok[0]:
+        return []
+    gaps = mu[:, None] - mu
+    np.fill_diagonal(gaps, 1.0)
+    p2 = np.prod(mu[:, None] - np.array(lam.lambdas), axis=1) / np.prod(gaps, axis=1)
+    if np.any(p2 < 0.0):
+        return []
+    axis = mu[:, None] == ell.a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frame = np.where(axis.any(axis=1)[:, None], axis, q / (ell.a - mu[:, None]))
+    frame /= np.linalg.norm(frame, axis=1)[:, None]
+    signs = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=ell.n)])
     out = []
     nq = ell.normal(q)
-    for p in dirs:
+    for p in (signs * np.sqrt(p2)) @ frame:
+        p = p / np.linalg.norm(p)
         w = float(nq @ p)
         if abs(w) < 1e-10:
             continue
         p = p if w > 0 else -p
         if not any(np.linalg.norm(p - o) < 1e-8 for o in out):
             out.append(p)
-    return out
-
-
-def _null_directions_2d(form: np.ndarray) -> list[np.ndarray]:
-    a11, a12, a22 = form[0, 0], form[0, 1], form[1, 1]
-    dirs = []
-    if abs(a11) >= abs(a22):
-        # a11 u^2 + 2 a12 u v + a22 v^2 = 0 with v = 1
-        disc = a12 * a12 - a11 * a22
-        if disc < 0.0:
-            return []
-        if a11 == 0.0:
-            dirs.append(np.array([1.0, 0.0]))
-            if a12 != 0.0:
-                dirs.append(np.array([-a22 / (2 * a12), 1.0]))
-        else:
-            for s in (1.0, -1.0):
-                u = (-a12 + s * math.sqrt(disc)) / a11
-                dirs.append(np.array([u, 1.0]))
-    else:
-        disc = a12 * a12 - a11 * a22
-        if disc < 0.0:
-            return []
-        for s in (1.0, -1.0):
-            v = (-a12 + s * math.sqrt(disc)) / a22
-            dirs.append(np.array([1.0, v]))
-    return [d / np.linalg.norm(d) for d in dirs]
-
-
-def _cone_intersections(f1: np.ndarray, f2: np.ndarray, samples: int) -> list[np.ndarray]:
-    """Common null directions of two 3D quadratic cones.
-
-    The first cone is parameterized through its eigenframe, then the
-    second form is root-hunted along that parameterization.
-    """
-    w, v = np.linalg.eigh(f1)
-    neg = w < 0.0
-    if neg.sum() == 1:
-        s_idx = int(np.nonzero(neg)[0][0])
-    elif neg.sum() == 2:
-        s_idx = int(np.nonzero(~neg)[0][0])
-    else:
-        return []
-    o_idx = [i for i in range(3) if i != s_idx]
-
-    def ray(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        quad = w[o_idx[0]] * c * c + w[o_idx[1]] * s * s
-        amp = math.sqrt(max(quad / (-w[s_idx]), 0.0))
-        return amp * v[:, s_idx] + c * v[:, o_idx[0]] + s * v[:, o_idx[1]]
-
-    def g(theta):
-        p = ray(theta)
-        return float(p @ (f2 @ p))
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples + 1)
-    vals = [g(t) for t in thetas]
-    out = []
-    for i in range(samples):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            lo, hi, glo = thetas[i], thetas[i + 1], vals[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if glo * gm <= 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            p = ray(0.5 * (lo + hi))
-            norm = np.linalg.norm(p)
-            if norm > 0.0:
-                out.append(p / norm)
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, _step_arrays
+from .dynamics import PhasePoint, _orbit
 from .errors import (
     BilliardError,
     NoSolutionInComponent,
@@ -320,46 +320,22 @@ def _count_oscillations_sampled(series: np.ndarray, closed: bool) -> float:
     return 0.5 * sign_changes
 
 
-def _step_batch(Q: np.ndarray, P: np.ndarray, a: np.ndarray):
-    """Vectorized bounce for a batch of phase points (rows)."""
-    G = Q / a
-    nu = -2.0 * np.sum(G * P, axis=1) / np.sum(G * G, axis=1)
-    P1 = P + nu[:, None] * G
-    mu = -2.0 * np.sum(G * P1, axis=1) / np.sum(P1 * (P1 / a), axis=1)
-    Q1 = Q + mu[:, None] * P1
-    G1 = Q1 / a
-    c2 = np.sum(G1 * (G1 / a), axis=1)
-    c1 = 2.0 * np.sum(G1 * G1, axis=1)
-    c0 = np.sum(Q1 * G1, axis=1) - 1.0
-    disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
-    Q1 = Q1 - (2.0 * c0 / (c1 + np.sqrt(disc)))[:, None] * G1
-    P1 = P1 / np.linalg.norm(P1, axis=1)[:, None]
-    return Q1, P1
-
-
 def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
                               starts=None,
                               rng: np.random.Generator | None = None) -> list[FrequencyValue]:
-    """Event-counting estimates for many caustic parameters at once.
+    """Event-counting estimates for many caustic parameters on one ellipsoid.
 
-    All orbits live on the same ellipsoid and are iterated in lockstep,
-    which keeps the long-orbit oracle comparisons affordable.
+    Each orbit is iterated by the bounce kernel from its start (a tangent
+    start per caustic when ``starts`` is unset) and its turning events are
+    counted exactly; the error bound is 2 / bounces.
     """
     lams = list(lams)
     if starts is None:
         starts = [default_tangent_start(lam, ell, rng) for lam in lams]
-    B = len(lams)
-    Q = np.array([s.q for s in starts])
-    P = np.array([s.p for s in starts])
-    impacts = np.empty((bounces + 1, B, ell.dim))
-    impacts[0] = Q
-    a = ell.a
-    for k in range(1, bounces + 1):
-        Q, P = _step_batch(Q, P, a)
-        impacts[k] = Q
     out = []
-    for b, lam in enumerate(lams):
-        counts = count_turning_events(impacts[:, b], lam, ell)
+    for lam, start in zip(lams, starts, strict=True):
+        impacts, _ = _orbit(start.q, start.p, ell.a, bounces)
+        counts = count_turning_events(impacts, lam, ell)
         om = counts[1:] / (2.0 * counts[0])
         out.append(FrequencyValue(tuple(float(v) for v in om), 2.0 / bounces))
     return out
@@ -372,29 +348,20 @@ def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
     """Frequency estimate from an iterated orbit tangent to the caustics.
 
     With ``samples_per_chord`` unset, turning points are located exactly
-    from per-chord tangency/crossing events; otherwise the elliptic
-    coordinates are sampled along each chord and local extrema of the
-    discrete series are counted (slower, kept as an independent route).
-    Error decays like O(1/bounces).
+    from per-chord tangency/crossing events (a batch of one); otherwise
+    the elliptic coordinates are sampled along each chord and local
+    extrema of the discrete series are counted (slower, kept as an
+    independent route).  Error decays like O(1/bounces).
     """
     if start is None:
         start = default_tangent_start(lam, ell, rng)
-    q, p = start.q_arr, start.p_arr
-    a = ell.a
-    impacts = np.empty((bounces + 1, ell.dim))
-    impacts[0] = q
-    for k in range(1, bounces + 1):
-        q, p = _step_arrays(q, p, a)
-        impacts[k] = q
     if samples_per_chord is None:
-        counts = count_turning_events(impacts, lam, ell)
-        om = counts[1:] / (2.0 * counts[0])
-    else:
-        path = sample_elliptic_path(impacts, ell, samples_per_chord)
-        osc = np.array([_count_oscillations_sampled(path[:, i], closed=False)
-                        for i in range(1, ell.dim)])
-        om = osc / (2.0 * bounces)
-    return FrequencyValue(tuple(float(v) for v in om), 2.0 / bounces)
+        return empirical_frequency_batch([lam], ell, bounces, [start])[0]
+    impacts, _ = _orbit(start.q, start.p, ell.a, bounces)
+    path = sample_elliptic_path(impacts, ell, samples_per_chord)
+    osc = np.array([_count_oscillations_sampled(path[:, i], closed=False)
+                    for i in range(1, ell.dim)])
+    return FrequencyValue(tuple(float(v) for v in osc / (2.0 * bounces)), 2.0 / bounces)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from confocal_billiards import Ellipsoid, minimal_atlas, verify_trajectory
+
+# property tests replay the same examples on every run and keep no
+# example database; each test sets its own max_examples
+settings.register_profile("repo", deadline=None, derandomize=True, database=None)
+settings.load_profile("repo")
 
 
 @pytest.fixture

@@ -187,3 +187,41 @@ def test_spt_find_bytes_independent_of_hash_seed(tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         docs.append(out.read_bytes())
     assert docs[0] == docs[1] == docs[2]
+
+
+@pytest.fixture(scope="module")
+def triangle_text():
+    traj = find_spt(class_by_id("E:Rx+fRx", 1), engine.STOCK_ELLIPSOID_2D)
+    return document.dumps(document.trajectory_to_document(traj, traj.report))
+
+
+CORRUPTIONS = {
+    "type": lambda doc: doc["caustic"].update(type="H"),      # lambda is of type E
+    "missing_row": lambda doc: doc["impacts"].pop(),
+    "non_finite": lambda doc: doc["velocities"][1].__setitem__(0, float("nan")),
+    "wrong_dim": lambda doc: [row.pop() for row in doc["impacts"]],
+}
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+def test_corrupted_documents_exit_2(how, triangle_text, tmp_path, capsys):
+    doc = json.loads(triangle_text)
+    CORRUPTIONS[how](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))          # writes NaN as the token NaN
+    svg = tmp_path / "bad.svg"
+    for argv in (["verify", str(path)], ["plot", str(path), "--out", str(svg)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]
+    assert not svg.exists()
+
+
+def test_valid_document_round_trips(triangle_text, tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(triangle_text)
+    traj, doc = document.load_trajectory(str(path))
+    again = document.trajectory_to_document(traj)
+    again["symmetry_report"] = doc["symmetry_report"]
+    assert document.dumps(again) == triangle_text

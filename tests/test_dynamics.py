@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confocal_billiards import (
     CausticParams,
@@ -22,7 +24,8 @@ from confocal_billiards import (
     seed_point,
     tangent_directions,
 )
-from confocal_billiards.dynamics import reversor_from_key
+from confocal_billiards.dynamics import _orbit, reversor_from_key
+from confocal_billiards.spectral import default_tangent_start
 from conftest import random_phase_point
 
 
@@ -211,3 +214,126 @@ def test_reversor_catalog_sizes():
     assert len(nonempty_reversors(2)) == 6
     empty = [r for r in all_reversors(3) if r.is_empty_set]
     assert {r.key for r in empty} == {"fR", "R123"}
+
+
+# --------------------------------------------------------------------------
+# The bounce kernel against the numpy kernels it replaced
+# --------------------------------------------------------------------------
+
+def _step_batch(Q, P, a):
+    """Former lockstep kernel: one bounce of every row, projected."""
+    G = Q / a
+    nu = -2.0 * np.sum(G * P, axis=1) / np.sum(G * G, axis=1)
+    P1 = P + nu[:, None] * G
+    mu = -2.0 * np.sum(G * P1, axis=1) / np.sum(P1 * (P1 / a), axis=1)
+    Q1 = Q + mu[:, None] * P1
+    G1 = Q1 / a
+    c2 = np.sum(G1 * (G1 / a), axis=1)
+    c1 = 2.0 * np.sum(G1 * G1, axis=1)
+    c0 = np.sum(Q1 * G1, axis=1) - 1.0
+    disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
+    Q1 = Q1 - (2.0 * c0 / (c1 + np.sqrt(disc)))[:, None] * G1
+    P1 = P1 / np.linalg.norm(P1, axis=1)[:, None]
+    return Q1, P1
+
+
+def _step_arrays(q, p, a, project=True):
+    """Former scalar kernel (dot products through BLAS)."""
+    g = q / a
+    nu = -2.0 * float(g @ p) / float(g @ g)
+    p1 = p + nu * g
+    mu = -2.0 * float(g @ p1) / float(p1 @ (p1 / a))
+    q1 = q + mu * p1
+    if project:
+        g = q1 / a
+        c2 = float(g @ (g / a))
+        c1 = 2.0 * float(g @ g)
+        c0 = float(q1 @ g) - 1.0
+        t = 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)))
+        q1 = q1 - t * g
+        p1 = p1 / np.linalg.norm(p1)
+    return q1, p1
+
+
+KERNEL_CASES = [((0.16, 1.0), (0.1,)), ((0.13, 0.8, 1.0), (0.130077, 0.648376))]
+
+
+@pytest.mark.parametrize("axes, lams", KERNEL_CASES)
+def test_orbit_matches_lockstep_batch_bit_for_bit(axes, lams):
+    ell = Ellipsoid(axes)
+    lam = CausticParams.from_values(lams, ell)
+    rng = np.random.default_rng(11)
+    starts = [default_tangent_start(lam, ell, rng) for _ in range(3)]
+    Q, P = np.array([s.q for s in starts]), np.array([s.p for s in starts])
+    ref_q, ref_p = [Q], [P]
+    for _ in range(2000):
+        Q, P = _step_batch(Q, P, ell.a)
+        ref_q.append(Q)
+        ref_p.append(P)
+    ref_q, ref_p = np.array(ref_q), np.array(ref_p)
+    for b, s in enumerate(starts):
+        qs, ps = _orbit(s.q, s.p, ell.a, 2000)
+        assert np.array_equal(qs, ref_q[:, b]) and np.array_equal(ps, ref_p[:, b])
+
+
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("axes, lams", KERNEL_CASES)
+def test_iterate_orbit_steps_match_scalar_kernel(axes, lams, project):
+    # the dot products sum in another order than BLAS: rounding-level only
+    ell = Ellipsoid(axes)
+    lam = CausticParams.from_values(lams, ell)
+    start = default_tangent_start(lam, ell, np.random.default_rng(12))
+    qs, ps = iterate_orbit(start, ell, 2000, project=project)
+    for k in range(2000):
+        q1, p1 = _step_arrays(qs[k], ps[k], ell.a, project)
+        assert np.max(np.abs(q1 - qs[k + 1])) <= 1e-12
+        assert np.max(np.abs(p1 - ps[k + 1])) <= 1e-12
+
+
+def test_orbit_raises_on_tangential_impact(ell_mid):
+    from confocal_billiards import DegenerateImpact
+    q = ell_mid.surface_point(np.array([0.3, 0.5, 0.8]))
+    n = ell_mid.normal(q)
+    p = np.cross(n, [1.0, 0.0, 0.0])
+    with pytest.raises(DegenerateImpact):
+        _orbit(q, p / np.linalg.norm(p), ell_mid.a, 5)
+
+
+# --------------------------------------------------------------------------
+# Involution properties, near-degenerate axes included
+# --------------------------------------------------------------------------
+
+INVOLUTION_AXES = [(0.16, 1.0), (0.13, 0.8, 1.0), (0.02, 0.1, 1.0), (0.05, 0.95, 1.0)]
+
+
+@st.composite
+def phase_points(draw):
+    ell = Ellipsoid(draw(st.sampled_from(INVOLUTION_AXES)))
+    unit = st.floats(-1.0, 1.0)
+    v = np.array([draw(unit) for _ in range(ell.dim)])
+    p = np.array([draw(unit) for _ in range(ell.dim)])
+    assume(np.linalg.norm(v) > 1e-3 and np.linalg.norm(p) > 1e-3)
+    q = ell.surface_point(v)
+    n = ell.normal(q) / np.linalg.norm(ell.normal(q))
+    p = p / np.linalg.norm(p)
+    p = p if n @ p > 0 else -p
+    assume(n @ p > 1e-2)        # keep away from grazing chords
+    return ell, PhasePoint(tuple(q), tuple(p))
+
+
+@settings(max_examples=200)
+@given(phase_points())
+def test_reversors_are_involutions_property(case):
+    ell, m = case
+    for r in all_reversors(ell.dim):
+        back = apply_reversor(r, apply_reversor(r, m, ell), ell)
+        assert phase_diff(back, m) < 1e-12
+
+
+@settings(max_examples=200)
+@given(phase_points())
+def test_dual_map_squares_to_minus_f_property(case):
+    ell, m = case
+    g2 = dual_map(dual_map(m, ell), ell)
+    minus_f = apply_symmetry(Reflection.central(ell.dim), billiard_map(m, ell, project=False))
+    assert phase_diff(g2, minus_f) < 1e-12

@@ -20,6 +20,7 @@ from confocal_billiards import (
 )
 from confocal_billiards.dynamics import reversor_from_key
 from confocal_billiards.engine import Trajectory
+from confocal_billiards.errors import QuadratureNotConverged, SingularCaustic
 from confocal_billiards.symmetry import symmetry_set_contains
 
 # --- the published classification catalogs --------------------------------
@@ -343,3 +344,28 @@ def test_atlas_repeats_failures_from_cache(monkeypatch):
     result = minimal_atlas(extra_shapes=())
     assert sorted(calls.values()) == [1, 1]            # thin, then flat
     assert result.failures == [(c, str(miss.value)) for c in EH2_842]
+
+
+@pytest.mark.parametrize("error", [QuadratureNotConverged, SingularCaustic])
+def test_atlas_collects_numeric_inversion_failures(monkeypatch, error):
+    from collections import Counter
+    from confocal_billiards import engine, minimal_atlas
+    classes = enumerate_classes(1)
+    broken = ("E", (3, 2))
+    calls = Counter()
+
+    def inversion(target, ctype, ell, *args, **kwargs):
+        calls[(ctype, tuple(target))] += 1
+        if (ctype, tuple(target)) == (broken[0], WindingNumbers(broken[1]).target()):
+            raise error(f"injected failure for {broken}")
+        return original(target, ctype, ell, *args, **kwargs)
+
+    original = engine.invert_frequency
+    monkeypatch.setattr(engine, "invert_frequency", inversion)
+    monkeypatch.setattr(engine, "enumerate_classes", lambda n: classes if n == 1 else [])
+    result = minimal_atlas()
+    hit = [c.class_id for c in classes if (c.ctype, c.minimal_winding.m) == broken]
+    assert result.failures == [(cid, f"injected failure for {broken}") for cid in hit]
+    assert len(hit) == 2 and max(calls.values()) == 1        # the failure is cached
+    assert [t.class_id for t in result.trajectories] == [
+        c.class_id for c in classes if c.class_id not in hit]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confocal_billiards import (
@@ -20,7 +20,12 @@ from confocal_billiards import (
     line_tangency_residual,
     tangent_directions,
 )
-from confocal_billiards.geometry import elliptic_coords
+from confocal_billiards.geometry import (
+    CAUSTIC_TYPES,
+    caustic_component_bounds,
+    elliptic_coords,
+    tangency_polynomial,
+)
 from confocal_billiards.spectral import sample_elliptic_path
 
 # Coordinate convention: axis j pairs with a_j ascending, so in 2D the
@@ -34,6 +39,9 @@ def test_ellipsoid_validation():
         Ellipsoid((-1.0, 2.0))
     with pytest.raises(ValueError):
         Ellipsoid((1.0,))
+    for bad in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            Ellipsoid(bad)
     ell = Ellipsoid((1, 2))
     assert ell.dim == 2 and ell.n == 1
 
@@ -217,7 +225,6 @@ def test_tangent_directions_counts(ell_mid, rng):
 # Property tests for the batched kernel, near-degenerate axes included.
 KERNEL_AXES = [(1.0, 2.0), (0.16, 1.0), (0.13, 0.8, 1.0), (0.02, 0.1, 1.0),
                (0.05, 0.95, 1.0), (0.3, 0.7, 1.3, 2.1)]
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -229,7 +236,7 @@ def axes_and_points(draw):
     return ell, Q * np.sqrt(ell.a)
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(axes_and_points())
 def test_kernel_rows_match_scalar_route(case):
     ell, Q = case
@@ -249,7 +256,7 @@ def test_kernel_rows_match_scalar_route(case):
                 cartesian_to_elliptic(q, ell)
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(axes_and_points(), st.data())
 def test_kernel_hyperplane_roots_are_exact(case, data):
     ell, Q = case
@@ -259,7 +266,7 @@ def test_kernel_hyperplane_roots_are_exact(case, data):
     assert np.all(np.any(mu[ok] == ell.a[j], axis=1))
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(axes_and_points(), st.data())
 def test_kernel_sign_flips_are_bit_identical(case, data):
     ell, Q = case
@@ -270,7 +277,7 @@ def test_kernel_sign_flips_are_bit_identical(case, data):
     assert np.array_equal(mu, mu_f) and np.array_equal(ok, ok_f)
 
 
-@PROPERTY
+@settings(max_examples=150)
 @given(st.sampled_from(KERNEL_AXES[2:5]), st.floats(0.0, 2.0 * math.pi))
 def test_kernel_rejects_focal_points(axes, theta):
     # focal ellipse {x_1 = 0, x_2^2/(a_2 - a_1) + x_3^2/(a_3 - a_1) = 1}:
@@ -286,3 +293,49 @@ def test_kernel_rejects_focal_points(axes, theta):
     mu, ok = elliptic_coords(focal + np.arange(16)[:, None] / 16 * (impacts[1] - focal), ell)
     assert len(path) == np.count_nonzero(ok) < 16
     assert np.array_equal(path, mu[ok])
+
+
+# Closed-form tangent directions, near-degenerate axes and points on the
+# coordinate hyperplanes (where the frame falls back to an axis) included.
+TANGENT_AXES = [(0.16, 1.0), (1.0, 2.0), (0.13, 0.8, 1.0), (0.13, 0.45, 1.0),
+                (0.02, 0.1, 1.0), (0.05, 0.95, 1.0)]
+
+
+@st.composite
+def caustic_and_point(draw):
+    ell = Ellipsoid(draw(st.sampled_from(TANGENT_AXES)))
+    ctype = draw(st.sampled_from(CAUSTIC_TYPES[ell.n]))
+    lams = sorted(lo + draw(st.floats(0.01, 0.99)) * (hi - lo)
+                  for lo, hi in caustic_component_bounds(ctype, ell))
+    assume(all(b - a > 1e-3 * ell.a[-1] for a, b in zip(lams, lams[1:])))
+    v = np.array([draw(st.one_of(st.floats(-1.0, 1.0), st.just(0.0))) for _ in range(ell.dim)])
+    assume(np.linalg.norm(v) > 1e-3)
+    return ell, CausticParams.from_values(lams, ell), ell.surface_point(v)
+
+
+@settings(max_examples=300)
+@given(caustic_and_point())
+def test_tangent_directions_are_tangent_lines(case):
+    ell, lam, q = case
+    dirs = tangent_directions(q, lam, ell)
+    assert len(dirs) <= 2 ** ell.n
+    for p in dirs:
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+        assert float(ell.normal(q) @ p) > 0.0
+        got = caustic_params_of_line(q, p, ell).lambdas
+        assert np.max(np.abs(np.array(got) - lam.lambdas)) < 1e-9 * ell.a[-1]
+
+
+def test_tangent_directions_in_four_dimensions(rng):
+    # the closed form holds for any n: up to 2^3 lines tangent to three caustics
+    ell = Ellipsoid((0.3, 0.7, 1.3, 2.1))
+    lam = CausticParams((0.2, 0.9, 1.5), "n=3")
+    counts = set()
+    for _ in range(100):
+        q = ell.surface_point(rng.normal(size=4))
+        dirs = tangent_directions(q, lam, ell)
+        counts.add(len(dirs))
+        for p in dirs:
+            roots = np.sort(np.roots(tangency_polynomial(q, p, ell)).real)
+            assert np.max(np.abs(roots - lam.lambdas)) < 1e-9
+    assert max(counts) == 8

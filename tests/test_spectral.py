@@ -174,7 +174,6 @@ def test_count_windings_golden(ell_mid):
 # Batched frequency layer
 # --------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SHAPE_TYPES = [((0.16, 1.0), "E"), ((0.16, 1.0), "H"), ((0.02, 1.0), "H")] + [
     (axes, ctype) for axes in ((0.13, 0.8, 1.0), (0.02, 0.1, 1.0))
     for ctype in ("EH1", "H1H1", "EH2", "H1H2")]
@@ -195,7 +194,7 @@ def caustic_rows(draw):
     return ell, ctype, np.array(rows)
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(caustic_rows())
 def test_batched_omega_matches_per_row_wrappers(case):
     ell, ctype, rows = case
