@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import document, plotting
 from .engine import (
@@ -47,7 +48,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser; built once per process (parsing leaves it unchanged)."""
     top = _Parser(prog="confocal-billiards",
                   description="Symmetric periodic trajectories of ellipsoidal billiards")
     sub = top.add_subparsers(dest="command", required=True)

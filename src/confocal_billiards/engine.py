@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -188,11 +188,17 @@ def enumerate_classes(n: int) -> list[SptClass]:
     return out
 
 
+@cache
+def _classes_by_id(n: int) -> dict[str, SptClass]:
+    """The n-caustic catalog by class id, built once per n."""
+    return {cls.class_id: cls for cls in enumerate_classes(n)}
+
+
 def class_by_id(class_id: str, n: int) -> SptClass:
-    for cls in enumerate_classes(n):
-        if cls.class_id == class_id:
-            return cls
-    raise KeyError(f"unknown class id {class_id!r}")
+    try:
+        return _classes_by_id(n)[class_id]
+    except KeyError:
+        raise KeyError(f"unknown class id {class_id!r}") from None
 
 
 # --------------------------------------------------------------------------

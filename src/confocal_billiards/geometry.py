@@ -139,6 +139,9 @@ class CausticParams:
     lambdas: tuple[float, ...]
     ctype: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+
     @classmethod
     def from_values(cls, lambdas, ell: Ellipsoid, tol: float = 1e-12) -> "CausticParams":
         lams = tuple(float(v) for v in lambdas)

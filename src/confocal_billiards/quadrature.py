@@ -48,22 +48,59 @@ def _nodes(level: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _run_edges(below) -> list[int]:
+    """0, every row where the side pattern of the roots changes, and N."""
+    change = np.flatnonzero(np.any(below[1:] != below[:-1], axis=1)) + 1
+    return [0, *change.tolist(), len(below)]
+
+
 def _node_sums(level, mid, r, off, below, powers) -> np.ndarray:
-    """r * sum_j w_j s_j^k / sqrt(|P(s_j)|) over the level's new nodes, per row."""
+    """r * sum_j w_j s_j^k / sqrt(|P(s_j)|) over the level's new nodes, per row.
+
+    The factor of root j is ``off_j + dl`` for a root below the interval
+    and ``off_j + dr`` above it.  Rows come in runs that share the side
+    of every root; a chunk stays inside one run and takes each side as a
+    whole.  Where the runs are shorter than the chunks (one row's
+    intervals, a Jacobian batch), one pass picks each element's side.
+    The product runs over j = 0..R-1 in order, and the powers of s are
+    ascending, each one more multiply by s.
+    """
     x, w, dleft, dright = _nodes(level)
-    out = np.empty((len(mid), len(powers)))
+    n_rows, n_roots = off.shape
+    out = np.empty((n_rows, len(powers)))
     step = max(1, _CHUNK // len(x))
-    for start in range(0, len(mid), step):
-        sl = slice(start, start + step)
-        rr = r[sl, None]
-        s = mid[sl, None] + rr * x
-        dl, dr = rr * dleft, rr * dright
-        prod = np.ones_like(s)
-        for j in range(off.shape[1]):
-            prod *= off[sl, j, None] + np.where(below[sl, j, None], dl, dr)
-        base = w / np.sqrt(prod)
-        for c, k in enumerate(powers):
-            out[sl, c] = np.sum(base * s ** k, axis=1)
+    runs = [(0, n_rows, None)]          # sides picked per element
+    if n_rows > step:
+        edges = _run_edges(below)
+        if len(edges) - 1 <= -(-n_rows // step):
+            runs = [(a, b, below[a].tolist()) for a, b in zip(edges, edges[1:])]
+    for first, stop, sides in runs:
+        for start in range(first, stop, step):
+            sl = slice(start, min(start + step, stop))
+            rr = r[sl, None]
+            dl = rr * dleft if sides is None or any(sides) else None
+            dr = rr * dright if sides is None or not all(sides) else None
+            if sides is None:
+                fac = np.where(below[sl, :, None], dl[:, None], dr[:, None])
+                fac += off[sl, :, None]
+                prod = fac[:, 0].copy()
+                for j in range(1, n_roots):
+                    prod *= fac[:, j]
+            else:
+                prod = off[sl, 0, None] + (dl if sides[0] else dr)
+                tmp = np.empty_like(prod)
+                for j in range(1, n_roots):
+                    prod *= np.add(off[sl, j, None], dl if sides[j] else dr, out=tmp)
+            term = np.divide(w, np.sqrt(prod, out=prod), out=prod)
+            if powers[-1] > 0:
+                s = rr * x
+                s += mid[sl, None]
+            k_term = 0
+            for c, k in enumerate(powers):
+                for _ in range(k - k_term):
+                    term = term * s
+                k_term = k
+                out[sl, c] = np.add.reduce(term, axis=1)
     return r[:, None] * out
 
 
@@ -73,7 +110,9 @@ def period_integrals(alpha, beta, roots, powers, tol: float = 1e-12,
 
     ``alpha`` and ``beta`` have shape (N,) and ``roots`` (N, R): row i
     holds all roots of its P, which must be positive on the open interval
-    with every root outside it (interval endpoints allowed).  Returns
+    with every root outside it (interval endpoints allowed), and
+    ``powers`` are ascending.  Rows with the same roots below their
+    interval are cheapest kept together.  Returns
     ``(vals[N, len(powers)], err[N], converged[N])``; a row converges at
     the first level where the change from the previous level satisfies
     ``err <= tol * max(1, max|vals|)``, and an unconverged row keeps the
@@ -83,6 +122,8 @@ def period_integrals(alpha, beta, roots, powers, tol: float = 1e-12,
     beta = np.asarray(beta, dtype=float)
     roots = np.asarray(roots, dtype=float)
     powers = tuple(powers)
+    if any(b < a for a, b in zip(powers, powers[1:])):
+        raise ValueError("powers must be ascending")
     if np.any((roots > alpha[:, None]) & (roots < beta[:, None])):
         raise ValueError("a root lies strictly inside an integration interval")
     r = 0.5 * (beta - alpha)

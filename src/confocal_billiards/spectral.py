@@ -146,24 +146,25 @@ def _check_nonsingular(lams: np.ndarray, ell: Ellipsoid, tol: float = 1e-12):
 def _omega_rows(lams, ell: Ellipsoid, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequencies of many caustic parameter rows, (omega[N, n], err[N], converged[N]).
 
-    All n+1 intervals of every row go into one ``period_integrals`` call;
-    then, with J_k(I_i) the integral of s^k/sqrt(P) over interval I_i,
-    each row solves  sum_{i=1..n} (-1)^(i+1) J_k(I_i) omega_i = J_k(I_0)/2
-    for k < n.
+    All n+1 intervals of every row go into one ``period_integrals`` call,
+    interval by interval (I_0 of every row, then I_1, ...), so that the
+    roots below an interval are the same along each run of N rows; then,
+    with J_k(I_i) the integral of s^k/sqrt(P) over interval I_i, each row
+    solves  sum_{i=1..n} (-1)^(i+1) J_k(I_i) omega_i = J_k(I_0)/2  for k < n.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1, ell.n)
     _check_nonsingular(lams, ell)
     N, n1 = len(lams), ell.dim
     roots = np.sort(np.concatenate([np.broadcast_to(ell.a, (N, n1)), lams], axis=1), axis=1)
     breaks = np.concatenate([np.zeros((N, 1)), roots], axis=1)
-    vals, err, ok = period_integrals(breaks[:, 0::2].ravel(), breaks[:, 1::2].ravel(),
-                                     np.repeat(roots, n1, axis=0), range(ell.n), tol=tol)
-    J = vals.reshape(N, n1, ell.n)                  # J[row, interval, power]
+    vals, err, ok = period_integrals(breaks[:, 0::2].T.ravel(), breaks[:, 1::2].T.ravel(),
+                                     np.tile(roots, (n1, 1)), range(ell.n), tol=tol)
+    J = vals.reshape(n1, N, ell.n).swapaxes(0, 1)   # J[row, interval, power]
     signs = np.where(np.arange(1, n1) % 2, 1.0, -1.0)
     mat = np.swapaxes(J[:, 1:, :], 1, 2) * signs    # mat[row, k, i]
     omega = np.linalg.solve(mat, 0.5 * J[:, 0, :, None])[..., 0]
-    return (omega, np.maximum(err.reshape(N, n1).max(axis=1), tol),
-            ok.reshape(N, n1).all(axis=1))
+    return (omega, np.maximum(err.reshape(n1, N).max(axis=0), tol),
+            ok.reshape(n1, N).all(axis=0))
 
 
 def _converged_omega(lams, ell: Ellipsoid, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -463,25 +464,24 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
         omega, _, ok = _omega_rows(lams, ell, tol)
         return omega - target, ok
 
-    g1 = _edge_clustered_grid(lo1, hi1)
-    g2 = _edge_clustered_grid(lo2, hi2)
-    grid = np.array([(x1, x2) for x1 in g1 for x2 in g2
-                     if not (ordered and x2 <= x1 + margin)]).reshape(-1, 2)
+    x1, x2 = (g.ravel() for g in np.meshgrid(_edge_clustered_grid(lo1, hi1),
+                                              _edge_clustered_grid(lo2, hi2), indexing="ij"))
+    grid = np.column_stack([x1, x2])
+    if ordered:
+        grid = grid[~(x2 <= x1 + margin)]
     tol = _quad_tol(quad_tol)
-    scored = []
+    norms = np.empty(len(grid))
     for k in range(0, len(grid), _SCAN_BLOCK):
-        block = grid[k:k + _SCAN_BLOCK]
-        omega, _, ok = _omega_rows(block, ell, tol)
-        norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
-        scored += zip(norms.tolist(), block[:, 0].tolist(), block[:, 1].tolist())
-    scored.sort()
-    if not scored or scored[0][0] > 0.45:
+        omega, _, ok = _omega_rows(grid[k:k + _SCAN_BLOCK], ell, tol)
+        norms[k:k + _SCAN_BLOCK] = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
+    starts = np.lexsort((grid[:, 1], grid[:, 0], norms))[:6]   # by norm, then x1, then x2
+    if not starts.size or norms[starts[0]] > 0.45:
         raise NoSolutionInComponent(
             f"grid scan found no candidate for omega={tuple(target)} on {ctype}")
 
     best_norm = math.inf
-    for start_norm, x1, x2 in scored[:6]:
-        lam, nrm = _newton_2d(resid, resid_rows, clip, np.array([x1, x2]),
+    for i in starts:
+        lam, nrm = _newton_2d(resid, resid_rows, clip, grid[i],
                               (lo1, hi1), (lo2, hi2), tol_omega)
         if nrm <= tol_omega:
             return CausticParams((lam[0], lam[1]), ctype)

@@ -107,6 +107,27 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_class_ids_round_trip_and_the_parser_is_shared(capsys):
+    for n in (1, 2):
+        classes = engine.enumerate_classes(n)
+        assert classes == engine.enumerate_classes(n)
+        assert classes is not engine.enumerate_classes(n)
+        for cls in classes:
+            assert class_by_id(cls.class_id, n) == cls
+        classes.clear()             # a caller's list is its own
+        assert len(engine.enumerate_classes(n)) == (12 if n == 1 else 112)
+    with pytest.raises(KeyError):
+        class_by_id("E:Rx+Rz", 1)
+    assert cli._build_parser() is cli._build_parser()
+    code, _, err = run_cli(capsys, "spt", "find", "--class", "E:Rx+Rz", "--axes", "0.16,1.0")
+    assert code == 2 and json.loads(err.strip())["error"] == "KeyError"
+    # every call parses afresh with the shared parser
+    code, _, err = run_cli(capsys, "classes", "list", "--dim", "2", "--type", "E")
+    assert code == 0
+    code, _, err = run_cli(capsys, "classes", "list")
+    assert code == 1 and "usage" in err
+
+
 def test_document_17_digit_floats(tmp_path, ell_thin):
     traj = find_spt(class_by_id("H1H2:R+fR13", 2), ell_thin)
     text = document.dumps(document.trajectory_to_document(traj))

@@ -185,6 +185,18 @@ def test_find_spt_2d_triangle(ell2d):
     assert any(abs(c[0]) < 1e-8 for c in chords)
 
 
+def test_caustic_parameters_are_python_floats(ell2d, ell_mid, ell_thin):
+    # the inversions and the polish compute lambda in numpy; error messages
+    # print CausticParams, so they must not show numpy scalars
+    found = [invert_frequency((1 / 3,), "E", ell2d),
+             invert_frequency((3 / 8, 2 / 8), "H1H1", ell_mid),
+             find_spt(class_by_id("E:Rx+fRx", 1), ell2d).caustic,
+             find_spt(class_by_id("H1H2:R+fR13", 2), ell_thin).caustic]
+    for lam in found:
+        assert all(type(v) is float for v in lam.lambdas)
+        assert "np.float64" not in repr(lam)
+
+
 def test_find_spt_rejects_incompatible_winding(ell_flat):
     cls = class_by_id("EH1:R3+fR12", 2)
     with pytest.raises(FeasibilityError):

@@ -278,6 +278,27 @@ def test_kernel_sign_flips_are_bit_identical(case, data):
 
 
 @settings(max_examples=150)
+@given(axes_and_points(), st.data())
+def test_elliptic_round_trip(case, data):
+    # elliptic_to_cartesian(cartesian_to_elliptic(x)) = x, points on and
+    # next to the coordinate hyperplanes included; x_j^2 is what the chart
+    # determines, so x_j itself is good to sqrt of that tolerance
+    ell, Q = case
+    j = data.draw(st.integers(0, ell.dim - 1))
+    Q[::2, j] = data.draw(st.sampled_from([0.0, 1e-13, -1e-9, 1e-6]))
+    scale = ell.axes[-1]
+    for q in Q:
+        try:
+            ep = cartesian_to_elliptic(q, ell)
+        except NonGenericPoint:
+            continue
+        back = elliptic_to_cartesian(ep.coords, ell, signs=ep.octant)
+        assert np.all(np.abs(back * back - q * q) <= 1e-13 * scale)
+        assert np.all(back * q >= 0.0)
+        assert np.all(np.abs(back - q) <= math.sqrt(1e-13 * scale))
+
+
+@settings(max_examples=150)
 @given(st.sampled_from(KERNEL_AXES[2:5]), st.floats(0.0, 2.0 * math.pi))
 def test_kernel_rejects_focal_points(axes, theta):
     # focal ellipse {x_1 = 0, x_2^2/(a_2 - a_1) + x_3^2/(a_3 - a_1) = 1}:

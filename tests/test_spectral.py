@@ -231,13 +231,110 @@ def test_nested_levels_equal_direct_sum(level):
     alpha = np.array([0.0, 0.13007682])
     beta = np.array([0.05, 0.45741441])
     # a tol no change can meet keeps every row to max_level
-    vals, err, ok = quadrature.period_integrals(alpha, beta, np.tile(roots, (2, 1)), (0, 1),
+    vals, err, ok = quadrature.period_integrals(alpha, beta, np.tile(roots, (2, 1)), (0, 1, 2),
                                                 tol=-1.0, max_level=level)
     assert not ok.any() and np.all(np.isfinite(err))
     for i in range(2):
-        for c, k in enumerate((0, 1)):
+        for c, k in enumerate((0, 1, 2)):
             ref = _direct_level_sum(alpha[i], beta[i], roots, k, level)
             assert abs(vals[i, c] - ref) <= 1e-14 * abs(ref)
+
+
+def _interval_rows(cases, rng):
+    """(alpha, beta, roots) of every interval of seeded caustic rows, row by row."""
+    alphas, betas, roots = [], [], []
+    for axes, ctypes, count in cases:
+        ell = Ellipsoid(axes)
+        for _ in range(count):
+            bounds = caustic_component_bounds(ctypes[int(rng.integers(len(ctypes)))], ell)
+            pos = [rng.choice([1e-7, 1.0 - 1e-7]) if rng.random() < 0.2 else rng.uniform(0.05, 0.95)
+                   for _ in bounds]
+            lams = sorted(lo + p * (hi - lo) for (lo, hi), p in zip(bounds, pos))
+            if np.min(np.diff(lams), initial=1.0) < 1e-6:
+                continue                # coinciding caustics: not a valid row
+            row = np.sort(np.concatenate([ell.a, lams]))
+            breaks = np.concatenate([[0.0], row])
+            alphas += breaks[0::2].tolist()
+            betas += breaks[1::2].tolist()
+            roots += [row] * ell.dim
+    return np.array(alphas), np.array(betas), np.array(roots)
+
+
+def _side_orders(n_rows, dim, rng):
+    """Row orders of a row-by-row interval stack with runs of every length."""
+    by_interval = [np.arange(i, n_rows, dim) for i in range(dim)]
+    ragged, queues = [], [list(q) for q in by_interval]
+    while any(queues):
+        for q in queues:
+            take = int(rng.integers(1, 150))
+            ragged += q[:take]
+            del q[:take]
+    return {"row by row": np.arange(n_rows), "interval by interval": np.concatenate(by_interval),
+            "ragged runs": np.array(ragged)}
+
+
+@pytest.mark.parametrize("max_level", [5, 9])
+@pytest.mark.parametrize("cases,powers", [
+    ([((0.13, 0.8, 1.0), ("EH1", "H1H1", "EH2", "H1H2"), 80),
+      ((0.05, 0.95, 1.0), ("EH1", "EH2"), 50)], (0, 1)),
+    ([((0.13, 0.8, 1.0), ("H1H2",), 80)], (0, 1, 2)),
+    ([((0.16, 1.0), ("E", "H"), 100)], (0,)),
+])
+def test_stacked_period_integrals_equal_row_calls(cases, powers, max_level):
+    # the kernel takes the roots' sides per run of rows when runs are long
+    # and per element when they are short; rows are independent, so a
+    # stack in any order gives each row exactly its single-row result
+    rng = np.random.default_rng(5)
+    alpha, beta, roots = _interval_rows(cases, rng)
+    single = [quadrature.period_integrals(alpha[i:i + 1], beta[i:i + 1], roots[i:i + 1],
+                                          powers, max_level=max_level) for i in range(len(alpha))]
+    vals = np.concatenate([v for v, _, _ in single])
+    err = np.concatenate([e for _, e, _ in single])
+    ok = np.concatenate([c for _, _, c in single])
+    if max_level == 5:
+        assert 0 < ok.sum() < len(ok)
+    for name, order in _side_orders(len(alpha), roots.shape[1] // 2 + 1, rng).items():
+        got = quadrature.period_integrals(alpha[order], beta[order], roots[order], powers,
+                                          max_level=max_level)
+        assert np.array_equal(got[0], vals[order]), name
+        assert np.array_equal(got[1], err[order]), name
+        assert np.array_equal(got[2], ok[order]), name
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
+    # H1H1 grids repeat every x1 for many x2; coarse frequencies make
+    # many grid norms tie, so that x1 and then x2 order the starts, as in
+    # a sort of (norm, x1, x2) tuples
+    ell, ctype = Ellipsoid((0.13, 0.8, 1.0)), "H1H1"
+    target = np.array(WindingNumbers((4, 3, 2)).target())
+    original = spectral._omega_rows
+
+    def omega_rows(lams, ell, tol):
+        omega, err, ok = original(lams, ell, tol)
+        return (np.round(omega * 4.0) / 4.0 if coarse else omega), err, ok
+
+    starts = []
+
+    def newton(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
+        starts.append(tuple(lam0.tolist()))
+        return lam0, math.inf
+
+    monkeypatch.setattr(spectral, "_omega_rows", omega_rows)
+    monkeypatch.setattr(spectral, "_newton_2d", newton)
+    with pytest.raises(NoSolutionInComponent):
+        invert_frequency(target, ctype, ell)
+
+    (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
+    margin = 1e-9 * ell.axes[-1]
+    grid = [(x1, x2) for x1 in spectral._edge_clustered_grid(lo1, hi1)
+            for x2 in spectral._edge_clustered_grid(lo2, hi2) if not x2 <= x1 + margin]
+    omega, _, ok = omega_rows(np.array(grid), ell, 1e-12)
+    norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
+    ref = sorted((nrm, x1, x2) for nrm, (x1, x2) in zip(norms.tolist(), grid))[:6]
+    assert starts == [(x1, x2) for _, x1, x2 in ref]
+    if coarse:      # one norm and one x1: x2 alone orders these six
+        assert len({(nrm, x1) for nrm, x1, _ in ref}) == 1
 
 
 def test_quadrature_non_convergence_is_reported(ell_mid, ell2d):
