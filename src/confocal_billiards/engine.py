@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailed,
 )
-from .geometry import CausticParams, Ellipsoid, cartesian_to_elliptic, caustic_params_of_line, cuboid
+from .geometry import CausticParams, Ellipsoid, cartesian_to_elliptic, caustic_params_of_lines, cuboid
 from .spectral import (
     WindingNumbers,
     count_turning_events,
@@ -300,38 +300,6 @@ def _match_vertex(coords, box, tol) -> tuple[int, ...] | None:
     return tuple(mask)
 
 
-def _itemized_events(impacts, lam, ell, edge_frac=1e-6) -> dict[str, int]:
-    counts = {}
-    box = cuboid(lam, ell)
-    a = ell.a
-    lamset = set(lam.lambdas)
-    impacts = impacts.copy()
-    impacts[-1] = impacts[0]
-    q0, q1 = impacts[:-1], impacts[1:]
-    d = q1 - q0
-    T = np.linalg.norm(d, axis=1)
-    d = d / T[:, None]
-    counts["face_0"] = len(q0)
-    for v in box.breakpoints[1:]:
-        if v in lamset:
-            i = lam.lambdas.index(v)
-            dv = a - v
-            A = np.einsum("j,kj,kj->k", 1.0 / dv, d, d)
-            A_abs = np.einsum("j,kj,kj->k", 1.0 / np.abs(dv), d, d)
-            B = np.einsum("j,kj,kj->k", 1.0 / dv, q0, d)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tstar = np.where(np.abs(A) > 1e-9 * A_abs, -B / A, np.inf)
-            key = f"caustic_{i + 1}"
-        else:
-            j = int(np.argmin(np.abs(a - v)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tstar = np.where(np.abs(d[:, j]) > 1e-12, -q0[:, j] / d[:, j], np.inf)
-            key = f"plane_{j + 1}"
-        counts[key] = int(np.count_nonzero(
-            (tstar >= -edge_frac * T) & (tstar < (1.0 - edge_frac) * T)))
-    return counts
-
-
 def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
                       closure_tol: float = 1e-8,
                       caustic_tol: float = 1e-9,
@@ -349,14 +317,12 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
     if closure > closure_tol:
         failures.append(f"closure residual {closure:.3e} > {closure_tol:.0e}")
 
-    dev = 0.0
-    for q0, q1 in zip(t.impacts[:-1], t.impacts[1:]):
-        got = caustic_params_of_line(q0, q1 - q0, ell)
-        dev = max(dev, max(abs(a - b) for a, b in zip(got.lambdas, lam.lambdas)))
+    got = caustic_params_of_lines(t.impacts[:-1], np.diff(t.impacts, axis=0), ell)
+    dev = float(np.max(np.abs(got - lam.lambdas), initial=0.0))
     if dev > caustic_tol:
         failures.append(f"caustic deviation {dev:.3e} > {caustic_tol:.0e}")
 
-    counts = count_turning_events(t.impacts, lam, ell, closed=True)
+    counts, event_counts = count_turning_events(t.impacts, lam, ell, closed=True)
     winding_counts = tuple(int(c) // 2 for c in counts)
     odd = bool(np.any(counts % 2))
     winding_match = (not odd) and winding_counts == t.winding.m
@@ -369,15 +335,16 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
     if excursion > excursion_tol:
         failures.append(f"cuboid excursion {excursion:.3e} > {excursion_tol:.0e}")
 
+    reversors = nonempty_reversors(ell.dim)
     memberships: dict[str, list[int]] = {}
-    for r in nonempty_reversors(ell.dim):
+    for r in reversors:
         hits = symmetry_set_members(r, t.impacts[:-1], t.velocities[:-1], ell, membership_tol)
         if hits.size:
             memberships[r.key] = hits.tolist()
 
     family_counts: dict[str, int] = {}
     two_point_ok = True
-    for sigma_key in sorted({r.key.removeprefix("f") for r in nonempty_reversors(ell.dim)}):
+    for sigma_key in sorted({r.key.removeprefix("f") for r in reversors}):
         tilde_hits = memberships.get(sigma_key, [])
         hat_hits = memberships.get("f" + sigma_key, [])
         total = len(tilde_hits) + len(hat_hits)
@@ -435,7 +402,7 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
         visited_masks=masks,
         vertex_delta_ok=delta_ok,
         distinct_impacts=distinct_impact_count(t.impacts, ell),
-        event_counts=_itemized_events(t.impacts, lam, ell),
+        event_counts=event_counts,
         monotone_conjecture_ok=t.winding.monotone,
         failures=failures,
     )

@@ -17,8 +17,9 @@ of each caustic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -145,24 +146,40 @@ class CausticParams:
     @classmethod
     def from_values(cls, lambdas, ell: Ellipsoid, tol: float = 1e-12) -> "CausticParams":
         lams = tuple(float(v) for v in lambdas)
-        scale = ell.axes[-1]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise SingularLine(f"caustic parameters not strictly increasing: {lams}")
-        if lams[0] <= tol * scale:
-            raise NonTransverse(f"lambda_1 = {lams[0]} not positive")
-        for v in lams:
-            if min(abs(v - aj) for aj in ell.axes) < tol * scale:
-                raise SingularLine(f"caustic parameter {v} collides with an axis")
-        for v, (lo, hi) in zip(lams, _interleaving_bounds(ell)):
-            if not (lo < v < hi):
-                raise SingularLine(f"caustic parameter {v} outside ({lo}, {hi})")
+        for broken, (exc, why) in zip(_caustic_faults(lams, ell, tol), _CAUSTIC_RULES):
+            if broken:
+                raise exc(f"{why}: {lams}")
         return cls(lams, caustic_type_of(lams, ell))
 
 
-def _interleaving_bounds(ell: Ellipsoid):
-    """lambda_i lies in (a_{i-1}, a_{i+1}) with a_0 = 0."""
+#: What caustic parameters must be, in the order they are checked: one
+#: (exception, message) per flag of ``_caustic_faults``.
+_CAUSTIC_RULES = (
+    (SingularLine, "caustic parameters not strictly increasing"),
+    (NonTransverse, "lambda_1 not positive"),
+    (SingularLine, "a caustic parameter collides with an axis"),
+    (SingularLine, "a caustic parameter outside its interleaving interval"),
+)
+
+
+def _caustic_faults(lams, ell: Ellipsoid, tol: float) -> tuple:
+    """Which of ``_CAUSTIC_RULES`` the caustic parameters lams break.
+
+    lams holds lambda_1, ..., lambda_n, each a float or an array over
+    many rows (a transposed (N, n) array), and the flags are bools or
+    bool arrays to match.  lambda_i must lie in (a_{i-1}, a_{i+1}),
+    a_0 = 0; a NaN breaks that rule.
+    """
+    eps = tol * ell.axes[-1]
     a = (0.0,) + ell.axes
-    return [(a[i - 1], a[i + 1]) for i in range(1, ell.n + 1)]
+    return (_any(b <= c for c, b in zip(lams, lams[1:])),
+            lams[0] <= eps,
+            _any(abs(v - aj) < eps for v in lams for aj in ell.axes),
+            _any(((lo < v) & (v < hi)) ^ True for v, lo, hi in zip(lams, a, a[2:])))
+
+
+def _any(flags):
+    return reduce(operator.or_, flags, False)
 
 
 @dataclass(frozen=True)
@@ -311,56 +328,6 @@ def elliptic_to_cartesian(mu, ell: Ellipsoid, signs=None, *, tol: float = 1e-9) 
 # Caustic parameters of a line
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _axis_cofactor_polys(axes: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(P_j)_j with P_j(t) = prod_{k != j}(a_k - t), and P(t) = prod_k (a_k - t).
-
-    One pair per ellipsoid, shared between calls, hence read-only.
-    """
-    a = np.array(axes)
-    d = len(a)
-    sign = (-1.0) ** (d - 1)
-    pj = np.array([np.poly(np.delete(a, j)) * sign for j in range(d)])
-    pall = np.poly(a) * (-1.0) ** d
-    for arr in (pj, pall):
-        arr.setflags(write=False)
-    return pj, pall
-
-
-def tangency_polynomial(q, p, ell: Ellipsoid) -> np.ndarray:
-    """Coefficients (highest degree first) of T(t) = prod_i (lambda_i - t).
-
-    T is the tangency discriminant of the line q + <p> against the
-    confocal family, cleared of its poles at the axes; its roots are the
-    caustic parameters.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
-    pj, pall = _axis_cofactor_polys(ell.axes)
-    A = (p * p) @ pj
-    B = 2.0 * (q * p) @ pj
-    C = np.concatenate([[0.0], (q * q) @ pj]) - pall
-    g = np.polymul(B, B) / 4.0
-    ac = np.polymul(A, C)
-    top = np.zeros(max(len(g), len(ac)))
-    top[-len(g):] += g
-    top[-len(ac):] -= ac
-    # long division by P, numpy.polydiv's loop without its trimming of the
-    # remainder's leading near-zeros (all below the threshold checked here)
-    n = len(pall) - 1
-    t_poly = np.zeros(max(len(top) - n, 1))
-    rem = top.copy()
-    scale = 1.0 / pall[0]
-    for k in range(len(top) - n):
-        t_poly[k] = scale * rem[k]
-        rem[k:k + n + 1] -= t_poly[k] * pall
-    # remainder is zero in exact arithmetic; keep it as a sanity residual
-    if np.max(np.abs(rem)) > 1e-6 * max(1.0, np.max(np.abs(top))):
-        raise SingularLine("tangency discriminant does not factor; degenerate line")
-    return t_poly
-
-
 def line_tangency_residual(q, p, lam_value: float, ell: Ellipsoid) -> float:
     """Minimized value over t of <D_lam (q + t p), q + t p> - 1."""
     q = np.asarray(q, dtype=float)
@@ -375,34 +342,55 @@ def line_tangency_residual(q, p, lam_value: float, ell: Ellipsoid) -> float:
     return abs(gamma - beta * beta / alpha)
 
 
+def caustic_params_of_lines(Q, Pdir, ell: Ellipsoid, *, tol: float = 1e-12) -> np.ndarray:
+    """Caustic parameters of a stack of lines q + t p, (lambda[N, n] ascending).
+
+    With U an orthonormal basis of the plane p^perp, the line is tangent
+    to Q_lambda exactly when the secular equation
+    ``y^T (U^T diag(a) U - lambda)^{-1} y = 1`` holds for y = U^T q (the
+    rank-one update of ``elliptic_coords`` on the line's projection along
+    p; Chasles, see Moser 1980; Golub 1973), so its n roots are the
+    eigenvalues of ``U^T (diag(a) - q q^T) U``, one batched ``eigvalsh``
+    call for every row.  U is the Householder reflection sending p to
+    +-e_d without its last column, so no spurious zero eigenvalue sits
+    next to a small lambda_1.  Invariant under replacing (q, p) by any
+    other point/direction of the same line.
+
+    Raises what ``caustic_params_of_line`` raises for the first row that
+    is not a regular line: NonTransverse when lambda_1 < tol * a_max,
+    SingularLine when two parameters coincide, one meets an axis (the
+    line lies in a coordinate hyperplane) or one leaves its interleaving
+    interval.
+    """
+    Q = np.asarray(Q, dtype=float)
+    P = np.asarray(Pdir, dtype=float)
+    P = P / np.linalg.norm(P, axis=1)[:, None]
+    d = ell.dim
+    v = P.copy()
+    v[:, -1] += np.where(P[:, -1] < 0.0, -1.0, 1.0)
+    U = np.eye(d)[:, :-1] - (2.0 / np.einsum("kj,kj->k", v, v))[:, None, None] \
+        * v[:, :, None] * v[:, None, :-1]
+    y = np.einsum("kji,kj->ki", U, Q)
+    lams = np.linalg.eigvalsh(np.einsum("kji,j,kjl->kil", U, ell.a, U) - y[:, :, None] * y[:, None, :])
+    for row in lams[_any(_caustic_faults(lams.T, ell, tol))]:
+        _checked_caustic_params(row, ell, tol)      # raises for this row
+    return lams
+
+
+def _checked_caustic_params(lams, ell: Ellipsoid, tol: float) -> CausticParams:
+    if lams[0] < tol * ell.axes[-1]:
+        raise NonTransverse(f"line misses or grazes the ellipsoid (lambda_1 = {lams[0]})")
+    return CausticParams.from_values(lams, ell, tol=tol)
+
+
 def caustic_params_of_line(q, p, ell: Ellipsoid, *, tol: float = 1e-12) -> CausticParams:
     """Caustic parameters of the line through q with direction p.
 
-    The n roots of the cleared tangency discriminant are found via its
-    companion matrix and polished with Newton steps.  Invariant under
-    replacing (q, p) by any other point/direction of the same line.
+    ``caustic_params_of_lines`` on a stack of one line.
     """
-    t_poly = tangency_polynomial(q, p, ell)
-    roots = np.roots(t_poly)
-    scale = ell.axes[-1]
-    if np.any(np.abs(roots.imag) > 1e-7 * scale):
-        raise SingularLine(f"complex tangency roots {roots}")
-    lams = np.sort(roots.real)
-    dpoly = np.polyder(t_poly)
-    for i, v in enumerate(lams):
-        for _ in range(12):
-            fv = np.polyval(t_poly, v)
-            dv = np.polyval(dpoly, v)
-            if dv == 0.0:
-                break
-            step = fv / dv
-            v -= step
-            if abs(step) < 1e-16 * scale:
-                break
-        lams[i] = v
-    if lams[0] < tol * scale:
-        raise NonTransverse(f"line misses or grazes the ellipsoid (lambda_1 = {lams[0]})")
-    return CausticParams.from_values(lams, ell, tol=tol)
+    lams = caustic_params_of_lines(np.asarray(q, dtype=float)[None],
+                                   np.asarray(p, dtype=float)[None], ell, tol=tol)
+    return _checked_caustic_params(lams[0], ell, tol)
 
 
 # --------------------------------------------------------------------------

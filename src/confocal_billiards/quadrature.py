@@ -110,9 +110,9 @@ def period_integrals(alpha, beta, roots, powers, tol: float = 1e-12,
 
     ``alpha`` and ``beta`` have shape (N,) and ``roots`` (N, R): row i
     holds all roots of its P, which must be positive on the open interval
-    with every root outside it (interval endpoints allowed), and
-    ``powers`` are ascending.  Rows with the same roots below their
-    interval are cheapest kept together.  Returns
+    (alpha_i, beta_i), nonempty, with every root outside it (interval
+    endpoints allowed), and ``powers`` are ascending.  Rows with the same
+    roots below their interval are cheapest kept together.  Returns
     ``(vals[N, len(powers)], err[N], converged[N])``; a row converges at
     the first level where the change from the previous level satisfies
     ``err <= tol * max(1, max|vals|)``, and an unconverged row keeps the
@@ -124,6 +124,8 @@ def period_integrals(alpha, beta, roots, powers, tol: float = 1e-12,
     powers = tuple(powers)
     if any(b < a for a, b in zip(powers, powers[1:])):
         raise ValueError("powers must be ascending")
+    if np.any(beta <= alpha):
+        raise ValueError("an integration interval is empty (beta <= alpha)")
     if np.any((roots > alpha[:, None]) & (roots < beta[:, None])):
         raise ValueError("a root lies strictly inside an integration interval")
     r = 0.5 * (beta - alpha)

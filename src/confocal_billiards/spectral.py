@@ -206,21 +206,9 @@ def frequencies(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) ->
 # Empirical route (turning-point counting along iterated orbits)
 # --------------------------------------------------------------------------
 
-def _breakpoint_events(lam: CausticParams, ell: Ellipsoid):
-    """(value, interval index, caustic?) for every breakpoint except 0."""
-    box = cuboid(lam, ell)
-    lamset = set(lam.lambdas)
-    out = []
-    for i, (alpha, beta) in enumerate(box.intervals):
-        for v in (alpha, beta):
-            if v != 0.0:
-                out.append((v, i, v in lamset))
-    return out, box
-
-
 def count_turning_events(impacts: np.ndarray, lam: CausticParams,
                          ell: Ellipsoid, *, closed: bool = False,
-                         edge_frac: float = 1e-6) -> np.ndarray:
+                         edge_frac: float = 1e-6) -> tuple[np.ndarray, dict[str, int]]:
     """Turning points of each elliptic coordinate along the chord sequence.
 
     Counts, per oscillation interval, the touches of its endpoints: an
@@ -230,42 +218,52 @@ def count_turning_events(impacts: np.ndarray, lam: CausticParams,
     endpoints exactly, so these windows tile the orbit and events sitting
     at a chord boundary (vertex seeds) are counted exactly once even
     under roundoff.  ``closed`` snaps the last impact onto the first.
+
+    Returns the counts per interval and the same events itemized by
+    breakpoint, in ascending order: ``face_0`` (impacts), ``caustic_i``
+    (tangencies with the caustic lambda_i) and ``plane_j`` (crossings of
+    x_j = 0).
     """
     a = ell.a
-    events_list, _ = _breakpoint_events(lam, ell)
-    counts = np.zeros(ell.dim, dtype=np.int64)
     if closed:
         impacts = impacts.copy()
         impacts[-1] = impacts[0]
     q0 = impacts[:-1]
-    q1 = impacts[1:]
-    d = q1 - q0
+    d = impacts[1:] - q0
     T = np.linalg.norm(d, axis=1)
     d = d / T[:, None]
-    counts[0] += len(q0)            # one impact per chord
-    for v, i, is_caustic in events_list:
-        dv = a - v
-        if is_caustic:
-            # Chords asymptotic to the caustic quadric have A = 0 and no
-            # touch on the segment; there |A| is pure cancellation noise,
-            # so the guard must be relative to the term magnitudes.
-            A = np.einsum("j,kj,kj->k", 1.0 / dv, d, d)
-            A_abs = np.einsum("j,kj,kj->k", 1.0 / np.abs(dv), d, d)
-            B = np.einsum("j,kj,kj->k", 1.0 / dv, q0, d)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tstar = np.where(np.abs(A) > 1e-9 * A_abs, -B / A, np.inf)
-        else:
-            j = int(np.argmin(np.abs(a - v)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tstar = np.where(np.abs(d[:, j]) > 1e-12, -q0[:, j] / d[:, j], np.inf)
-        counts[i] += int(np.count_nonzero(
-            (tstar >= -edge_frac * T) & (tstar < (1.0 - edge_frac) * T)))
-    return counts
+    counts = np.zeros(ell.dim, dtype=np.int64)
+    counts[0] = len(q0)             # one impact per chord
+    events = {"face_0": len(q0)}
+    for i, interval in enumerate(cuboid(lam, ell).intervals):
+        for v in interval:
+            if v == 0.0:
+                continue
+            dv = a - v
+            if v in lam.lambdas:
+                # Chords asymptotic to the caustic quadric have A = 0 and no
+                # touch on the segment; there |A| is pure cancellation noise,
+                # so the guard must be relative to the term magnitudes.
+                A = np.einsum("j,kj,kj->k", 1.0 / dv, d, d)
+                A_abs = np.einsum("j,kj,kj->k", 1.0 / np.abs(dv), d, d)
+                B = np.einsum("j,kj,kj->k", 1.0 / dv, q0, d)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tstar = np.where(np.abs(A) > 1e-9 * A_abs, -B / A, np.inf)
+                key = f"caustic_{lam.lambdas.index(v) + 1}"
+            else:
+                j = int(np.argmin(np.abs(dv)))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tstar = np.where(np.abs(d[:, j]) > 1e-12, -q0[:, j] / d[:, j], np.inf)
+                key = f"plane_{j + 1}"
+            events[key] = int(np.count_nonzero(
+                (tstar >= -edge_frac * T) & (tstar < (1.0 - edge_frac) * T)))
+            counts[i] += events[key]
+    return counts, events
 
 
 def count_windings(impacts: np.ndarray, lam: CausticParams, ell: Ellipsoid) -> tuple[int, ...]:
     """Integer winding numbers of a closed impact sequence (first = last)."""
-    counts = count_turning_events(impacts, lam, ell, closed=True)
+    counts, _ = count_turning_events(impacts, lam, ell, closed=True)
     if np.any(counts % 2):
         raise ValueError(f"odd turning-point counts {counts}; orbit not closed?")
     return tuple(int(c) // 2 for c in counts)
@@ -336,7 +334,7 @@ def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
     out = []
     for lam, start in zip(lams, starts, strict=True):
         impacts, _ = _orbit(start.q, start.p, ell.a, bounces)
-        counts = count_turning_events(impacts, lam, ell)
+        counts, _ = count_turning_events(impacts, lam, ell)
         om = counts[1:] / (2.0 * counts[0])
         out.append(FrequencyValue(tuple(float(v) for v in om), 2.0 / bounces))
     return out
@@ -387,9 +385,11 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
                      tol_omega: float = 1e-10, quad_tol: float | None = None) -> CausticParams:
     """Caustic parameters in the given component with the given frequencies.
 
-    n = 1: bracketed bisection/secant on rho.  n = 2: edge-clustered grid
-    scan followed by damped finite-difference Newton, with a shrinking-box
-    bisection fallback; iterates are clipped 1e-9 inside the component.
+    n = 1: bracketed bisection/secant on rho.  n = 2: an edge-clustered
+    grid scan ranks the grid points by residual; damped finite-difference
+    Newton runs from the best one and, when that stalls, from the next
+    five in lock-step, the first to converge winning.  Iterates are
+    clipped 1e-9 inside the component.
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
@@ -447,18 +447,18 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
     (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
     margin = 1e-9 * ell.axes[-1]
     ordered = ctype == "H1H1"
+    lo_in = np.array([lo1 + margin, lo2 + margin])
+    hi_in = np.array([hi1 - margin, hi2 - margin])
 
-    def clip(lam):
-        l1 = min(max(lam[0], lo1 + margin), hi1 - margin)
-        l2 = min(max(lam[1], lo2 + margin), hi2 - margin)
-        if ordered and l2 - l1 < margin:
-            mid = 0.5 * (l1 + l2)
-            l1, l2 = mid - 0.5 * margin, mid + 0.5 * margin
-        return np.array([l1, l2])
-
-    def resid(lam):
-        lamP = CausticParams((lam[0], lam[1]), ctype)
-        return np.array(frequency_map(lamP, ell, quad_tol).omega) - target
+    def clip(lams):
+        lams = np.minimum(np.maximum(lams, lo_in), hi_in)
+        if ordered:
+            l1, l2 = lams[..., 0], lams[..., 1]
+            close = l2 - l1 < margin
+            if close.any():
+                mid = 0.5 * (l1[close] + l2[close])
+                lams[close] = np.stack([mid - 0.5 * margin, mid + 0.5 * margin], axis=-1)
+        return lams
 
     def resid_rows(lams):
         omega, _, ok = _omega_rows(lams, ell, tol)
@@ -474,77 +474,119 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
     for k in range(0, len(grid), _SCAN_BLOCK):
         omega, _, ok = _omega_rows(grid[k:k + _SCAN_BLOCK], ell, tol)
         norms[k:k + _SCAN_BLOCK] = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
-    starts = np.lexsort((grid[:, 1], grid[:, 0], norms))[:6]   # by norm, then x1, then x2
-    if not starts.size or norms[starts[0]] > 0.45:
+    order = np.lexsort((grid[:, 1], grid[:, 0], norms))[:6]   # by norm, then x1, then x2
+    if not order.size or norms[order[0]] > 0.45:
         raise NoSolutionInComponent(
             f"grid scan found no candidate for omega={tuple(target)} on {ctype}")
 
+    # the best start almost always converges, so the other five run only
+    # when it does not; the first to converge wins, as one by one
     best_norm = math.inf
-    for i in starts:
-        lam, nrm = _newton_2d(resid, resid_rows, clip, grid[i],
-                              (lo1, hi1), (lo2, hi2), tol_omega)
-        if nrm <= tol_omega:
-            return CausticParams((lam[0], lam[1]), ctype)
-        best_norm = min(best_norm, nrm)
+    for batch in (order[:1], order[1:]):
+        lams, nrms, stuck = _newton_2d(resid_rows, clip, grid[batch], (lo1, hi1), (lo2, hi2), tol_omega)
+        for lam, nrm, point in zip(lams, nrms, stuck):
+            if point is not None:
+                _converged_omega(point, ell, quad_tol)      # raises QuadratureNotConverged
+            if nrm <= tol_omega:
+                return CausticParams((lam[0], lam[1]), ctype)
+            best_norm = min(best_norm, nrm)
     raise NoSolutionInComponent(
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
 
 
-def _newton_2d(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
+#: Central-difference points of a Newton Jacobian, around s in logistic
+#: coordinates: +h e_1, -h e_1, +h e_2, -h e_2.
+_JAC_H = 1e-5
+_JAC_OFFSETS = np.array([sign * _JAC_H * e for e in np.eye(2) for sign in (1.0, -1.0)])
+#: Step fractions of the line search: the full step, then nine halvings.
+_DAMPING = 0.5 ** np.arange(10)
+
+
+def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
     """Damped Newton in logistic coordinates of each component interval.
 
     The frequencies vary logarithmically near the interval edges; the
     logistic substitution makes the map roughly affine there, so Newton
     can approach solutions sitting 1e-5 from an edge.
 
-    ``resid`` evaluates one point; ``resid_rows`` many in one batch, with
-    a per-row converged flag.  The four central-difference points of a
-    Jacobian go in one batch.  The line search tries the full step alone
-    and, when it does not improve, the nine damped steps in one batch;
-    it takes the first that improves, as a one-by-one search would, and
-    raises where that search would have met an unconverged point.  A step
-    that improves nothing leaves the iterate as it was, so any retry would
-    repeat the same Jacobian and the same search: Newton stops there.
+    ``lam0`` is a stack of starts, run in lock-step.  ``resid_rows``
+    evaluates many points in one batch, with a per-row converged flag.
+    Each iteration makes one batch of the four central-difference points
+    of every running start's Jacobian, one of their full steps, and one
+    of the nine damped steps of the starts whose full step did not
+    improve.  Each start takes the first step that improves, as a
+    one-by-one search would.  A start stops when it converges; when no
+    step improves (its iterate stays as it was, so a retry would repeat
+    the same Jacobian and the same search); when its Jacobian is
+    singular; after 60 iterations; or where a one-by-one search would
+    have met an unconverged point.  The starts after the first that
+    converged stop too: a one-by-one search would not have reached them.
+
+    Returns the last iterate (K, 2) and residual norm of every start, and
+    for each start that unconverged point, or None.
     """
     los = np.array([b1[0], b2[0]])
     widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
 
-    def to_s(lam):
-        u = np.clip((lam - los) / widths, 1e-12, 1.0 - 1e-12)
-        return np.log(u / (1.0 - u))
-
     def to_lam(s):
         return clip(los + widths / (1.0 + np.exp(-s)))
 
-    s = to_s(lam0)
-    r = resid(to_lam(s))
-    nrm = float(np.max(np.abs(r)))
+    def norms(r, ok):
+        return np.where(ok, np.max(np.abs(r), axis=-1), math.inf)
+
+    u = np.clip((lam0 - los) / widths, 1e-12, 1.0 - 1e-12)
+    s = np.log(u / (1.0 - u))
+    r, ok = resid_rows(to_lam(s))
+    nrm = norms(r, ok)
+    stuck = [None if good else to_lam(s[k]) for k, good in enumerate(ok)]
+    running = ok.copy()
     for _ in range(60):
-        if nrm <= tol_omega:
+        converged = nrm <= tol_omega
+        running &= ~converged
+        if converged.any():
+            running[np.argmax(converged) + 1:] = False
+        act = np.flatnonzero(running)
+        if not act.size:
             break
-        h = 1e-5
-        pts = np.array([to_lam(s + sign * h * e) for e in np.eye(2) for sign in (1.0, -1.0)])
-        rp, ok = resid_rows(pts)
-        if not ok.all():
-            resid(pts[np.argmin(ok)])       # raises QuadratureNotConverged
-        jac = np.column_stack([rp[0] - rp[1], rp[2] - rp[3]]) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        step = np.clip(step, -8.0, 8.0)
-        cands = s + 0.5 ** np.arange(10)[:, None] * step
-        rc = resid(to_lam(cands[0]))[None]
-        ok = np.ones(1, dtype=bool)
-        if not float(np.max(np.abs(rc))) < nrm:
-            rest, ok_rest = resid_rows(np.array([to_lam(c) for c in cands[1:]]))
-            rc, ok = np.vstack([rc, rest]), np.concatenate([ok, ok_rest])
-        norms = np.where(ok, np.max(np.abs(rc), axis=1), math.inf)
-        better = np.flatnonzero(norms < nrm)
-        first = better[0] if better.size else len(norms)
-        if not ok[:first].all():
-            resid(to_lam(cands[np.argmin(ok)]))     # raises QuadratureNotConverged
-        if not better.size:
-            break
-        s, r, nrm = cands[first], rc[first], float(norms[first])
-    return to_lam(s), nrm
+        pts = to_lam(s[act, None] + _JAC_OFFSETS)
+        rp, ok = resid_rows(pts.reshape(-1, 2))
+        rp, ok = rp.reshape(-1, 4, 2), ok.reshape(-1, 4)
+        jac = np.stack([rp[:, 0] - rp[:, 1], rp[:, 2] - rp[:, 3]], axis=2) / (2.0 * _JAC_H)
+        good = ok.all(axis=1)
+        for k in np.flatnonzero(~good):
+            stuck[act[k]] = pts[k, np.argmin(ok[k])]
+        step = np.zeros((len(act), 2))
+        for k in np.flatnonzero(good):
+            try:
+                step[k] = np.linalg.solve(jac[k], -r[act[k]])
+            except np.linalg.LinAlgError:
+                good[k] = False
+        running[act[~good]] = False
+        act, step = act[good], np.clip(step[good], -8.0, 8.0)
+        if not act.size:
+            continue
+        cands = s[act, None] + _DAMPING[:, None] * step[:, None]
+        lam_c = to_lam(cands)
+        rc, ok = resid_rows(lam_c[:, 0])
+        nc = norms(rc, ok)
+        take = nc < nrm[act]
+        s[act[take]], r[act[take]], nrm[act[take]] = cands[take, 0], rc[take], nc[take]
+        for k in np.flatnonzero(~ok):
+            stuck[act[k]], running[act[k]] = lam_c[k, 0], False
+        damp = np.flatnonzero(ok & ~take)
+        if not damp.size:
+            continue
+        rest, ok_rest = resid_rows(lam_c[damp, 1:].reshape(-1, 2))
+        rest, ok_rest = rest.reshape(-1, 9, 2), ok_rest.reshape(-1, 9)
+        n_rest = norms(rest, ok_rest)
+        for j, k in enumerate(damp):
+            i = act[k]
+            better = np.flatnonzero(n_rest[j] < nrm[i])
+            first = better[0] if better.size else 9
+            if not ok_rest[j, :first].all():
+                stuck[i], running[i] = lam_c[k, 1 + np.argmin(ok_rest[j])], False
+            elif not better.size:
+                running[i] = False
+            else:
+                s[i], r[i], nrm[i] = cands[k, 1 + first], rest[j, first], n_rest[j, first]
+    return to_lam(s), [float(v) for v in nrm], stuck

@@ -23,8 +23,8 @@ from confocal_billiards import (
 from confocal_billiards.geometry import (
     CAUSTIC_TYPES,
     caustic_component_bounds,
+    caustic_params_of_lines,
     elliptic_coords,
-    tangency_polynomial,
 )
 from confocal_billiards.spectral import sample_elliptic_path
 
@@ -357,6 +357,104 @@ def test_tangent_directions_in_four_dimensions(rng):
         dirs = tangent_directions(q, lam, ell)
         counts.add(len(dirs))
         for p in dirs:
-            roots = np.sort(np.roots(tangency_polynomial(q, p, ell)).real)
-            assert np.max(np.abs(roots - lam.lambdas)) < 1e-9
+            assert np.max(np.abs(_polynomial_caustics(q, p, ell) - lam.lambdas)) < 1e-9
+        if dirs:
+            got = caustic_params_of_lines(np.tile(q, (len(dirs), 1)), np.array(dirs), ell)
+            assert np.max(np.abs(got - lam.lambdas)) < 1e-9
     assert max(counts) == 8
+
+
+def _polynomial_caustics(q, p, ell):
+    """Reference route to the caustic parameters of the line q + <p>.
+
+    The tangency discriminant B^2/4 - A C of the line against the confocal
+    family, cleared of its poles at the axes, is T(t) = prod_i (lambda_i - t)
+    times P(t) = prod_k (a_k - t).  T's roots come from its companion
+    matrix (``np.roots``) and are polished by Newton steps.
+    """
+    a = ell.a
+    d = len(a)
+    p = p / np.linalg.norm(p)
+    pj = np.array([np.poly(np.delete(a, j)) * (-1.0) ** (d - 1) for j in range(d)])
+    pall = np.poly(a) * (-1.0) ** d
+    A = (p * p) @ pj
+    B = 2.0 * (q * p) @ pj
+    C = np.concatenate([[0.0], (q * q) @ pj]) - pall
+    g, ac = np.polymul(B, B) / 4.0, np.polymul(A, C)
+    top = np.zeros(max(len(g), len(ac)))
+    top[-len(g):] += g
+    top[-len(ac):] -= ac
+    n = len(pall) - 1               # long division by P; the remainder is 0
+    t_poly, rem = np.zeros(len(top) - n), top.copy()
+    for k in range(len(top) - n):
+        t_poly[k] = rem[k] / pall[0]
+        rem[k:k + n + 1] -= t_poly[k] * pall
+    lams = np.sort(np.roots(t_poly).real)
+    dpoly = np.polyder(t_poly)
+    for i, v in enumerate(lams):
+        for _ in range(12):
+            dv = np.polyval(dpoly, v)
+            if dv == 0.0:
+                break
+            step = np.polyval(t_poly, v) / dv
+            v -= step
+            if abs(step) < 1e-16 * a[-1]:
+                break
+        lams[i] = v
+    return lams
+
+
+CHORD_SHAPES = ((0.16, 1.0), (1.0, 2.0), (0.13, 0.8, 1.0), (0.05, 0.95, 1.0), (0.02, 0.1, 1.0))
+
+
+@st.composite
+def tangent_chords(draw):
+    """A shape, caustic parameters (E-type lambda_1 down to 1e-7 a_max) and tangent lines."""
+    ell = Ellipsoid(draw(st.sampled_from(CHORD_SHAPES)))
+    ctype = draw(st.sampled_from(CAUSTIC_TYPES[ell.n]))
+    a_max = ell.axes[-1]
+    lams = []
+    for lo, hi in caustic_component_bounds(ctype, ell):
+        if lo == 0.0:
+            lams.append(a_max * 10.0 ** draw(st.floats(-7.0, math.log10(0.999 * hi / a_max))))
+        else:
+            lams.append(lo + draw(st.floats(1e-3, 1.0 - 1e-3)) * (hi - lo))
+    lams.sort()
+    assume(all(b - a > 1e-3 * a_max for a, b in zip(lams, lams[1:])))
+    lam = CausticParams.from_values(lams, ell)
+    for _ in range(8):
+        v = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(ell.dim)])
+        if np.linalg.norm(v) > 1e-3:
+            q = ell.surface_point(v)
+            dirs = tangent_directions(q, lam, ell)
+            if dirs:
+                return ell, lam, q, np.array(dirs)
+    assume(False)
+
+
+@settings(max_examples=300)
+@given(tangent_chords())
+def test_caustics_of_lines_match_polynomial_route(case):
+    ell, lam, q, dirs = case
+    # any point of each line will do: shift along it
+    got = caustic_params_of_lines(q + 0.1 * dirs, dirs, ell)
+    for p, row in zip(dirs, got):
+        ref = _polynomial_caustics(q, p, ell)
+        assert np.max(np.abs(row - ref)) <= 1e-12 * ell.axes[-1]
+
+
+def test_caustics_of_lines_raise_for_the_first_bad_line():
+    ell = Ellipsoid((1.0, 2.0))
+    good = (np.array([math.sqrt(0.5), 1.0]), np.array([0.0, 1.0]))     # lambda = 0.5
+    misses = (np.array([2.0, 0.0]), np.array([0.0, 1.0]))              # lambda < 0
+    on_axis = (np.array([0.0, math.sqrt(2.0)]), np.array([0.0, 1.0]))  # lambda = a_1
+    # p = +e_d and p = -e_d: the reflection must not degenerate for either
+    got = caustic_params_of_lines(np.array([good[0]] * 2), np.array([good[1], -good[1]]), ell)
+    assert got == pytest.approx(np.full((2, 1), 0.5), abs=1e-15)
+    for lines, first_bad, kind in (((good, misses, on_axis), misses, NonTransverse),
+                                   ((good, on_axis, misses), on_axis, SingularLine)):
+        with pytest.raises(kind) as batch:
+            caustic_params_of_lines(*map(np.array, zip(*lines)), ell)
+        with pytest.raises(kind) as alone:
+            caustic_params_of_line(*first_bad, ell)
+        assert str(batch.value) == str(alone.value)

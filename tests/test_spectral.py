@@ -301,6 +301,29 @@ def test_stacked_period_integrals_equal_row_calls(cases, powers, max_level):
         assert np.array_equal(got[2], ok[order]), name
 
 
+def test_empty_interval_is_refused():
+    # a zero-width row has nothing to converge to: refused, like a root inside
+    roots = np.array([[0.05, 0.13, 0.45, 0.95, 1.0]])
+    with pytest.raises(ValueError, match="empty"):
+        quadrature.period_integrals(np.array([0.13]), np.array([0.13]), roots, (0, 1))
+    with pytest.raises(ValueError, match="empty"):
+        quadrature.period_integrals(np.array([0.0, 0.2]), np.array([0.05, 0.13]),
+                                    np.tile(roots, (2, 1)), (0, 1))
+
+
+def _count_omega_rows(monkeypatch) -> list[int]:
+    """Patch ``spectral._omega_rows`` to log the row count of every call."""
+    calls = []
+    original = spectral._omega_rows
+
+    def counting(lams, ell, tol):
+        calls.append(len(lams))
+        return original(lams, ell, tol)
+
+    monkeypatch.setattr(spectral, "_omega_rows", counting)
+    return calls
+
+
 @pytest.mark.parametrize("coarse", [False, True])
 def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
     # H1H1 grids repeat every x1 for many x2; coarse frequencies make
@@ -314,11 +337,11 @@ def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
         omega, err, ok = original(lams, ell, tol)
         return (np.round(omega * 4.0) / 4.0 if coarse else omega), err, ok
 
-    starts = []
+    batches = []
 
-    def newton(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
-        starts.append(tuple(lam0.tolist()))
-        return lam0, math.inf
+    def newton(resid_rows, clip, lam0, b1, b2, tol_omega):
+        batches.append([tuple(row) for row in lam0.tolist()])
+        return lam0, [math.inf] * len(lam0), [None] * len(lam0)
 
     monkeypatch.setattr(spectral, "_omega_rows", omega_rows)
     monkeypatch.setattr(spectral, "_newton_2d", newton)
@@ -332,7 +355,9 @@ def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
     omega, _, ok = omega_rows(np.array(grid), ell, 1e-12)
     norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
     ref = sorted((nrm, x1, x2) for nrm, (x1, x2) in zip(norms.tolist(), grid))[:6]
-    assert starts == [(x1, x2) for _, x1, x2 in ref]
+    # the best start alone, then the other five in one stack
+    assert [len(b) for b in batches] == [1, 5]
+    assert [x for b in batches for x in b] == [(x1, x2) for _, x1, x2 in ref]
     if coarse:      # one norm and one x1: x2 alone orders these six
         assert len({(nrm, x1) for nrm, x1, _ in ref}) == 1
 
@@ -351,65 +376,133 @@ def test_quadrature_non_convergence_is_reported(ell_mid, ell2d):
     ("EH1", (6, 4, 2), (0.13, 0.8, 1.0)),
 ])
 def test_golden_inversion_scans_in_batches(monkeypatch, ctype, m, axes):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    original = spectral.frequency_map
-    monkeypatch.setattr(spectral, "frequency_map", counting)
+    calls = _count_omega_rows(monkeypatch)
     invert_frequency(WindingNumbers(m).target(), ctype, Ellipsoid(axes))
     assert 0 < len(calls) < 100
 
 
-def _newton_one_point(resid, resid_rows, clip, lam0, b1, b2, tol_omega):
-    """Reference Newton: every point on its own, three retries on a stall."""
+class _Unconverged(Exception):
+    """A one-point evaluation met an unconverged quadrature row."""
+
+
+def _newton_one_point(resid_rows, clip, lam0, b1, b2, tol_omega):
+    """Reference Newton: start after start, every point on its own.
+
+    Stops after the first start that converges or meets an unconverged
+    point; the starts after it keep their start point and an infinite
+    norm, which the caller never reads.  Same return as
+    ``spectral._newton_2d``: the last iterates, their residual norms, and
+    each start's unconverged point or None.
+    """
+    lams, nrms, stuck = np.array(lam0, dtype=float), [math.inf] * len(lam0), [None] * len(lam0)
+    for k, lam in enumerate(lam0):
+        lams[k], nrms[k], stuck[k] = _one_point_search(resid_rows, clip, lam, b1, b2, tol_omega)
+        if nrms[k] <= tol_omega or stuck[k] is not None:
+            break
+    return lams, nrms, stuck
+
+
+def _one_point_search(resid_rows, clip, lam0, b1, b2, tol_omega):
+    """One start, three retries on a stall; stops at an unconverged point."""
     los = np.array([b1[0], b2[0]])
     widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
 
     def to_lam(s):
         return clip(los + widths / (1.0 + np.exp(-s)))
 
+    def resid(lam):
+        r, ok = resid_rows(lam[None])
+        if not ok[0]:
+            raise _Unconverged(lam)
+        return r[0]
+
     u = np.clip((lam0 - los) / widths, 1e-12, 1.0 - 1e-12)
     s = np.log(u / (1.0 - u))
-    r = resid(to_lam(s))
-    nrm = float(np.max(np.abs(r)))
-    stall = 0
-    for _ in range(60):
-        if nrm <= tol_omega:
-            break
-        h = 1e-5
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dp = np.zeros(2)
-            dp[j] = h
-            jac[:, j] = (resid(to_lam(s + dp)) - resid(to_lam(s - dp))) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        step = np.clip(step, -8.0, 8.0)
-        damp, improved = 1.0, False
-        for _ in range(10):
-            cand = s + damp * step
-            rc = resid(to_lam(cand))
-            nc = float(np.max(np.abs(rc)))
-            if nc < nrm:
-                s, r, nrm, improved = cand, rc, nc, True
+    try:
+        r = resid(to_lam(s))
+        nrm = float(np.max(np.abs(r)))
+        stall = 0
+        for _ in range(60):
+            if nrm <= tol_omega:
                 break
-            damp *= 0.5
-        stall = 0 if improved else stall + 1
-        if stall >= 3:
-            break
-    return to_lam(s), nrm
+            h = 1e-5
+            jac = np.empty((2, 2))
+            for j in range(2):
+                dp = np.zeros(2)
+                dp[j] = h
+                jac[:, j] = (resid(to_lam(s + dp)) - resid(to_lam(s - dp))) / (2.0 * h)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                break
+            step = np.clip(step, -8.0, 8.0)
+            damp, improved = 1.0, False
+            for _ in range(10):
+                cand = s + damp * step
+                rc = resid(to_lam(cand))
+                nc = float(np.max(np.abs(rc)))
+                if nc < nrm:
+                    s, r, nrm, improved = cand, rc, nc, True
+                    break
+                damp *= 0.5
+            stall = 0 if improved else stall + 1
+            if stall >= 3:
+                break
+    except _Unconverged as exc:
+        return exc.args[0], math.inf, exc.args[0]
+    return to_lam(s), nrm, None
 
 
 def _inversion_outcome(target, ctype, ell):
     try:
         return invert_frequency(target, ctype, ell).lambdas
-    except NoSolutionInComponent as exc:
-        return str(exc)
+    except (NoSolutionInComponent, QuadratureNotConverged) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: Targets on which the best start stalls and the second converges (seeded
+#: freq_invert targets), and one on which all six starts stall.
+SECOND_START = (("EH1", (0.25, 0.49, 1.0), (0.28656519457485324, 0.17242543317333667)),
+                ("EH2", (0.05, 0.95, 1.0), (0.07172949402987333, 0.06245125888927615)))
+ALL_STALL = ("H1H2", (0.13, 0.45, 1.0), WindingNumbers((8, 6, 2)).target())
+
+
+def _count_newton_calls(monkeypatch, newton) -> list[int]:
+    """Install ``newton`` as ``_newton_2d``; log the _omega_rows calls made inside it."""
+    calls, inside = [], []
+    rows = spectral._omega_rows
+
+    def counting(lams, ell, tol):
+        if inside:
+            calls.append(len(lams))
+        return rows(lams, ell, tol)
+
+    def wrapped(*args):
+        inside.append(True)
+        try:
+            return newton(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(spectral, "_omega_rows", counting)
+    monkeypatch.setattr(spectral, "_newton_2d", wrapped)
+    return calls
+
+
+def _check_one_point_match(monkeypatch, target, ctype, ell, ratio):
+    """Same outcome as the one-point reference, from fewer Newton calls.
+
+    Newton's own _omega_rows calls are counted, not the scan's: 3x fewer
+    one-point calls (a lone start's initial point and full steps) and
+    ``ratio`` x fewer calls in all.
+    """
+    newton = spectral._newton_2d
+    batched_calls = _count_newton_calls(monkeypatch, newton)
+    batched = _inversion_outcome(target, ctype, ell)
+    one_point_calls = _count_newton_calls(monkeypatch, _newton_one_point)
+    assert batched == _inversion_outcome(target, ctype, ell)
+    assert 3 * batched_calls.count(1) < len(one_point_calls)
+    assert 0 < ratio * len(batched_calls) < len(one_point_calls)
 
 
 @pytest.mark.parametrize("ctype,m,axes", [
@@ -418,18 +511,85 @@ def _inversion_outcome(target, ctype, ell):
     ("EH2", (8, 4, 2), (0.05, 0.95, 1.0)),      # starts improve, then stall
 ])
 def test_batched_newton_matches_one_point_search(monkeypatch, ctype, m, axes):
-    ell, target = Ellipsoid(axes), WindingNumbers(m).target()
-    calls = []
+    # where the best start converges, the saving is its Jacobian (four
+    # points in one call) and line search; stalls also run five in one
+    ratio = 2 if m == (5, 4, 2) else 8
+    _check_one_point_match(monkeypatch, WindingNumbers(m).target(), ctype, Ellipsoid(axes), ratio)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    original = spectral.frequency_map
-    monkeypatch.setattr(spectral, "frequency_map", counting)
-    batched = _inversion_outcome(target, ctype, ell)
-    batched_calls = len(calls)
-    monkeypatch.setattr(spectral, "_newton_2d", _newton_one_point)
-    assert batched == _inversion_outcome(target, ctype, ell)
-    # same iterates from far fewer one-point evaluations
-    assert 0 < 3 * batched_calls < len(calls) - batched_calls
+@pytest.mark.parametrize("case", SECOND_START)
+def test_second_start_wins_after_the_best_stalls(monkeypatch, case):
+    ctype, axes, target = case
+    runs = []
+    newton = spectral._newton_2d
+
+    def logging(*args):
+        out = newton(*args)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(spectral, "_newton_2d", logging)
+    invert_frequency(target, ctype, Ellipsoid(axes))
+    assert [len(nrms) for nrms in runs] == [1, 5]
+    assert runs[0][0] > 1e-10 and runs[1][0] <= 1e-10
+    monkeypatch.undo()
+    _check_one_point_match(monkeypatch, target, ctype, Ellipsoid(axes), 3)
+
+
+@pytest.mark.parametrize("case,converges", [(SECOND_START[0], True), (ALL_STALL, False)])
+def test_unconverged_point_of_a_later_start(monkeypatch, case, converges):
+    # the fourth start's first point misses the quadrature tolerance: an
+    # earlier start that converges wins, else the inversion raises there
+    ctype, axes, target = case
+    ell = Ellipsoid(axes)
+    clean = _inversion_outcome(target, ctype, ell)
+    rows, newton = spectral._omega_rows, spectral._newton_2d
+    poisoned = []
+
+    def omega_rows(lams, ell, tol):
+        omega, err, ok = rows(lams, ell, tol)
+        for lam in poisoned:
+            ok = ok & ~np.all(np.abs(np.asarray(lams).reshape(-1, 2) - lam) < 1e-12, axis=1)
+        return omega, err, ok
+
+    def poisoning(impl):
+        def run(resid_rows, clip, lam0, *args):
+            if len(lam0) > 1:
+                poisoned.append(lam0[2])
+            return impl(resid_rows, clip, lam0, *args)
+        return run
+
+    monkeypatch.setattr(spectral, "_omega_rows", omega_rows)
+    outcomes = []
+    for impl in (newton, _newton_one_point):
+        poisoned.clear()
+        monkeypatch.setattr(spectral, "_newton_2d", poisoning(impl))
+        outcomes.append(_inversion_outcome(target, ctype, ell))
+    assert outcomes[0] == outcomes[1]
+    if converges:
+        assert outcomes[0] == clean
+    else:
+        assert outcomes[0].startswith("QuadratureNotConverged: period integrals for caustic")
+
+
+def test_singular_jacobian_stops_only_its_start():
+    # a map flat around the first start gives it a singular Jacobian,
+    # which fails a whole batched solve; the second start goes on as alone
+    root = np.array([0.3, 0.6])
+
+    def resid_rows(lams):
+        flat = lams[:, 0] > 0.8
+        return np.where(flat[:, None], 0.25, lams - root + 0.1 * (lams - root) ** 2), \
+            np.ones(len(lams), dtype=bool)
+
+    def clip(lams):
+        return lams
+
+    starts = np.array([[0.9, 0.5], [0.2, 0.5]])
+    b = (0.0, 1.0)
+    lams, nrms, stuck = spectral._newton_2d(resid_rows, clip, starts, b, b, 1e-12)
+    assert stuck == [None, None]
+    assert nrms[0] == 0.25 and np.allclose(lams[0], starts[0], rtol=0.0, atol=1e-15)
+    assert nrms[0] == _newton_one_point(resid_rows, clip, starts[:1], b, b, 1e-12)[1][0]
+    alone = spectral._newton_2d(resid_rows, clip, starts[1:], b, b, 1e-12)
+    assert np.array_equal(lams[1], alone[0][0]) and nrms[1] == alone[1][0] <= 1e-12
