@@ -17,6 +17,7 @@ from functools import cache
 
 from . import document, plotting
 from .engine import (
+    CTYPES_BY_DIM,
     class_by_id,
     class_count,
     enumerate_classes,
@@ -99,7 +100,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_classes(args) -> int:
     classes = enumerate_classes(args.dim - 1)
-    if args.ctype:
+    if args.ctype is not None:
+        ctypes = CTYPES_BY_DIM[args.dim - 1]
+        if args.ctype not in ctypes:
+            raise _UsageError(f"--type {args.ctype!r} is not a caustic type in dimension "
+                              f"{args.dim}; choose one of {', '.join(ctypes)}")
         classes = [c for c in classes if c.ctype == args.ctype]
     if args.json:
         rows = [{

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -196,14 +197,14 @@ def nonempty_reversors(dim: int) -> list[Reversor]:
 #: coordinate, ``{+ e}`` is the sum of e over the coordinates, left to
 #: right as numpy sums a row, and ``{, e}`` is their tuple.
 _BOUNCE_LOOP = """
-def loop(q, p, a, steps, project, qs, ps):
+def loop(q, p, a, steps, project, qapp, papp):
     A# = a[#]
     Q# = q[#]
     P# = p[#]
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         G# = Q# / A#
         gp = {+ G# * P#}
-        if abs(gp) < tol:
+        if -tol < gp < tol:
             q = {, Q#}
             raise DegenerateImpact(f"tangential impact at {q}")
         nu = -2.0 * gp / {+ G# * G#}
@@ -215,12 +216,15 @@ def loop(q, p, a, steps, project, qs, ps):
             c2 = {+ G# * (G# / A#)}
             c1 = 2.0 * {+ G# * G#}
             c0 = {+ Q# * G#} - 1.0
-            t = 2.0 * c0 / (c1 + sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)))
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                disc = 0.0
+            t = 2.0 * c0 / (c1 + sqrt(disc))
             Q# = Q# - t * G#
             s = sqrt({+ P# * P#})
             P# = P# / s
-        qs[k] = {, Q#}
-        ps[k] = {, P#}
+        qapp(Q#)
+        papp(P#)
 """
 
 
@@ -252,16 +256,21 @@ def _orbit(q, p, a, steps: int, project: bool = True) -> tuple[np.ndarray, np.nd
     nearest 0) and renormalizes the velocity.  The loop runs on Python
     floats with every coordinate in its own local: at d <= 4, numpy's
     per-call overhead and even a Python loop over the coordinates cost
-    more than the arithmetic.
+    more than the arithmetic.  A bounce appends its coordinates to two
+    flat ``array("d")`` buffers seeded with the start row, and calls
+    nothing but ``sqrt`` and those appends.  The results are writable,
+    C-ordered float64 views of shape (steps + 1, d) on the buffers, with
+    no copy.  Negative ``steps`` raise ValueError.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     d = len(a)
-    qs = np.empty((steps + 1, d))
-    ps = np.empty((steps + 1, d))
-    q = [float(v) for v in q]
-    p = [float(v) for v in p]
-    qs[0], ps[0] = q, p
-    _bounce_loop(d)(q, p, [float(v) for v in a], steps, project, qs, ps)
-    return qs, ps
+    qbuf, pbuf = array("d", q), array("d", p)
+    if len(qbuf) != d or len(pbuf) != d:
+        raise ValueError(f"q and p must have {d} coordinates")
+    _bounce_loop(d)(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps, project,
+                    qbuf.append, pbuf.append)
+    return np.frombuffer(qbuf).reshape(-1, d), np.frombuffer(pbuf).reshape(-1, d)
 
 
 def billiard_map(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:

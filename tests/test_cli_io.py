@@ -32,6 +32,13 @@ def test_classes_list_json_filter(capsys):
     assert all(r["type"] == "H1H1" for r in rows)
 
 
+@pytest.mark.parametrize("dim, ctype", [("3", "NOPE"), ("2", "EH1"), ("3", "E"), ("2", "")])
+def test_classes_list_rejects_a_type_of_another_dimension(capsys, dim, ctype):
+    code, out, err = run_cli(capsys, "classes", "list", "--dim", dim, "--type", ctype)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
 def test_freq_invert_golden(capsys):
     code, out, _ = run_cli(capsys, "freq", "invert", "--axes", "0.13,0.8,1.0",
                            "--type", "H1H1", "--winding", "4,3,2")

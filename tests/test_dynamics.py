@@ -25,6 +25,7 @@ from confocal_billiards import (
     tangent_directions,
 )
 from confocal_billiards.dynamics import _orbit, reversor_from_key
+from confocal_billiards.errors import NoSolutionInComponent
 from confocal_billiards.spectral import default_tangent_start
 from conftest import random_phase_point
 
@@ -220,13 +221,15 @@ def test_reversor_catalog_sizes():
 # The bounce kernel against the numpy kernels it replaced
 # --------------------------------------------------------------------------
 
-def _step_batch(Q, P, a):
-    """Former lockstep kernel: one bounce of every row, projected."""
+def _step_batch(Q, P, a, project=True):
+    """Former lockstep kernel: one bounce of every row."""
     G = Q / a
     nu = -2.0 * np.sum(G * P, axis=1) / np.sum(G * G, axis=1)
     P1 = P + nu[:, None] * G
     mu = -2.0 * np.sum(G * P1, axis=1) / np.sum(P1 * (P1 / a), axis=1)
     Q1 = Q + mu[:, None] * P1
+    if not project:
+        return Q1, P1
     G1 = Q1 / a
     c2 = np.sum(G1 * (G1 / a), axis=1)
     c1 = 2.0 * np.sum(G1 * G1, axis=1)
@@ -235,6 +238,16 @@ def _step_batch(Q, P, a):
     Q1 = Q1 - (2.0 * c0 / (c1 + np.sqrt(disc)))[:, None] * G1
     P1 = P1 / np.linalg.norm(P1, axis=1)[:, None]
     return Q1, P1
+
+
+def _lockstep(Q, P, a, steps, project=True):
+    """Rows 0..steps of every start under ``_step_batch``: shape (steps + 1, B, d)."""
+    ref_q, ref_p = [Q], [P]
+    for _ in range(steps):
+        Q, P = _step_batch(Q, P, a, project)
+        ref_q.append(Q)
+        ref_p.append(P)
+    return np.array(ref_q), np.array(ref_p)
 
 
 def _step_arrays(q, p, a, project=True):
@@ -258,22 +271,62 @@ def _step_arrays(q, p, a, project=True):
 KERNEL_CASES = [((0.16, 1.0), (0.1,)), ((0.13, 0.8, 1.0), (0.130077, 0.648376))]
 
 
-@pytest.mark.parametrize("axes, lams", KERNEL_CASES)
-def test_orbit_matches_lockstep_batch_bit_for_bit(axes, lams):
+def _tangent_starts(axes, lams, seed, count):
+    """``count`` random starts tangent to the caustics ``lams``, in any dimension."""
     ell = Ellipsoid(axes)
-    lam = CausticParams.from_values(lams, ell)
-    rng = np.random.default_rng(11)
-    starts = [default_tangent_start(lam, ell, rng) for _ in range(3)]
+    lam = CausticParams(tuple(lams), "")     # tangent_directions reads the values only
+    rng = np.random.default_rng(seed)
+    return ell, [default_tangent_start(lam, ell, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("axes, lams", KERNEL_CASES + [((0.1, 0.3, 0.6, 1.0), (0.05, 0.2, 0.5))])
+def test_orbit_matches_lockstep_batch_bit_for_bit(axes, lams):
+    ell, starts = _tangent_starts(axes, lams, 11, 3)
     Q, P = np.array([s.q for s in starts]), np.array([s.p for s in starts])
-    ref_q, ref_p = [Q], [P]
-    for _ in range(2000):
-        Q, P = _step_batch(Q, P, ell.a)
-        ref_q.append(Q)
-        ref_p.append(P)
-    ref_q, ref_p = np.array(ref_q), np.array(ref_p)
-    for b, s in enumerate(starts):
-        qs, ps = _orbit(s.q, s.p, ell.a, 2000)
-        assert np.array_equal(qs, ref_q[:, b]) and np.array_equal(ps, ref_p[:, b])
+    for project in (True, False):
+        ref_q, ref_p = _lockstep(Q, P, ell.a, 2000, project)
+        for b, s in enumerate(starts):
+            qs, ps = _orbit(s.q, s.p, ell.a, 2000, project)
+            assert np.array_equal(qs, ref_q[:, b]) and np.array_equal(ps, ref_p[:, b])
+
+
+@st.composite
+def shapes_and_tangent_starts(draw):
+    """A random shape in R^2..R^4 and a start tangent to random caustics.
+
+    Caustic parameter k lies between axes k-1 and k+1 (axis -1 is 0),
+    as in every caustic type of the catalogue.
+    """
+    d = draw(st.integers(2, 4))
+    gaps = [draw(st.floats(0.05, 1.0)) for _ in range(d)]
+    axes = tuple(np.cumsum(gaps) / np.sum(gaps))
+    pad = (0.0,) + axes
+    lams = [pad[k] + (pad[k + 2] - pad[k]) * draw(st.floats(0.05, 0.95)) for k in range(d - 1)]
+    assume(all(b - a > 1e-3 for a, b in zip(lams, lams[1:])))
+    assume(min(abs(v - x) for v in lams for x in axes) > 1e-3)
+    try:
+        ell, (start,) = _tangent_starts(axes, lams, draw(st.integers(0, 2**32 - 1)), 1)
+    except NoSolutionInComponent:
+        assume(False)
+    return ell, start, draw(st.booleans())
+
+
+@settings(max_examples=60)
+@given(shapes_and_tangent_starts())
+def test_orbit_matches_lockstep_batch_property(case):
+    ell, start, project = case
+    ref_q, ref_p = _lockstep(np.array([start.q]), np.array([start.p]), ell.a, 200, project)
+    qs, ps = _orbit(start.q, start.p, ell.a, 200, project)
+    assert np.array_equal(qs, ref_q[:, 0]) and np.array_equal(ps, ref_p[:, 0])
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_orbit_output_layout(ell_mid, steps):
+    _, (start,) = _tangent_starts(ell_mid.axes, (0.2, 0.6), 5, 1)
+    for rows, first in zip(_orbit(start.q, start.p, ell_mid.a, steps), (start.q, start.p)):
+        assert rows.shape == (steps + 1, 3) and rows.dtype == np.float64
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        assert tuple(rows[0]) == first
 
 
 @pytest.mark.parametrize("project", [True, False])
@@ -297,6 +350,11 @@ def test_orbit_raises_on_tangential_impact(ell_mid):
     p = np.cross(n, [1.0, 0.0, 0.0])
     with pytest.raises(DegenerateImpact):
         _orbit(q, p / np.linalg.norm(p), ell_mid.a, 5)
+    for steps in (-1, -5):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            _orbit(q, n / np.linalg.norm(n), ell_mid.a, steps)
+    with pytest.raises(ValueError, match="3 coordinates"):
+        _orbit(q[:2], n[:2], ell_mid.a, 1)
 
 
 # --------------------------------------------------------------------------
