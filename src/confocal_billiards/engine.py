@@ -198,6 +198,10 @@ def class_by_id(class_id: str, n: int) -> SptClass:
     try:
         return _classes_by_id(n)[class_id]
     except KeyError:
+        for m in {1, 2} - {n}:
+            if class_id in _classes_by_id(m):
+                raise KeyError(f"class id {class_id!r} belongs to dimension {m + 1}, "
+                               f"not to dimension {n + 1}") from None
         raise KeyError(f"unknown class id {class_id!r}") from None
 
 
@@ -471,6 +475,8 @@ def find_spt(cls: SptClass, ell: Ellipsoid, w: WindingNumbers | None = None, *,
     if ell.n != cls.dim - 1:
         raise ValueError("class dimension does not match the ellipsoid")
     w = w or cls.minimal_winding
+    if len(w.m) != cls.dim:
+        raise ValueError(f"winding {w.m} has {len(w.m)} numbers; class {cls.class_id} needs {cls.dim}")
     if not cls.compatible_winding(w):
         raise FeasibilityError(
             f"winding {w.m} (delta {vertex_delta_of_kind(w)}) incompatible "

@@ -367,9 +367,6 @@ def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
 # Inversion
 # --------------------------------------------------------------------------
 
-_SCAN_BLOCK = 96     # grid points per batched frequency evaluation
-
-
 def _edge_clustered_grid(lo: float, hi: float, per_edge: int = 14) -> np.ndarray:
     """Grid on (lo, hi) clustered geometrically toward both endpoints.
 
@@ -385,11 +382,11 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
                      tol_omega: float = 1e-10, quad_tol: float | None = None) -> CausticParams:
     """Caustic parameters in the given component with the given frequencies.
 
-    n = 1: bracketed bisection/secant on rho.  n = 2: an edge-clustered
-    grid scan ranks the grid points by residual; damped finite-difference
-    Newton runs from the best one and, when that stalls, from the next
-    five in lock-step, the first to converge winning.  Iterates are
-    clipped 1e-9 inside the component.
+    n = 1: bracketed bisection/secant on rho.  n = 2: one batch ranks an
+    edge-clustered grid by residual; damped finite-difference Newton runs
+    from the best point and, when that stalls, from the next five in
+    lock-step, each full step in one batch with its Jacobian stencil; the
+    first to converge wins.  Iterates are clipped 1e-9 inside the component.
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
@@ -470,10 +467,8 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
     if ordered:
         grid = grid[~(x2 <= x1 + margin)]
     tol = _quad_tol(quad_tol)
-    norms = np.empty(len(grid))
-    for k in range(0, len(grid), _SCAN_BLOCK):
-        omega, _, ok = _omega_rows(grid[k:k + _SCAN_BLOCK], ell, tol)
-        norms[k:k + _SCAN_BLOCK] = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
+    omega, _, ok = _omega_rows(grid, ell, tol)
+    norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
     order = np.lexsort((grid[:, 1], grid[:, 0], norms))[:6]   # by norm, then x1, then x2
     if not order.size or norms[order[0]] > 0.45:
         raise NoSolutionInComponent(
@@ -498,6 +493,8 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
 #: coordinates: +h e_1, -h e_1, +h e_2, -h e_2.
 _JAC_H = 1e-5
 _JAC_OFFSETS = np.array([sign * _JAC_H * e for e in np.eye(2) for sign in (1.0, -1.0)])
+#: A point, then its Jacobian stencil.
+_STENCIL = np.vstack([np.zeros(2), _JAC_OFFSETS])
 #: Step fractions of the line search: the full step, then nine halvings.
 _DAMPING = 0.5 ** np.arange(10)
 
@@ -511,16 +508,19 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
 
     ``lam0`` is a stack of starts, run in lock-step.  ``resid_rows``
     evaluates many points in one batch, with a per-row converged flag.
-    Each iteration makes one batch of the four central-difference points
-    of every running start's Jacobian, one of their full steps, and one
-    of the nine damped steps of the starts whose full step did not
-    improve.  Each start takes the first step that improves, as a
-    one-by-one search would.  A start stops when it converges; when no
-    step improves (its iterate stays as it was, so a retry would repeat
-    the same Jacobian and the same search); when its Jacobian is
-    singular; after 60 iterations; or where a one-by-one search would
-    have met an unconverged point.  The starts after the first that
-    converged stop too: a one-by-one search would not have reached them.
+    The starts go in one batch with their Jacobian stencils (the four
+    central-difference points around each).  Each iteration makes one
+    batch of the stencils of the starts whose last step was damped, one
+    of the full steps with the stencils they need next, and one of the
+    nine damped steps of the starts whose full step did not improve.
+    Each start takes the first step that improves and reads a stencil
+    only where a one-by-one search would evaluate it.  A start stops
+    when it converges; when no step improves (its iterate stays as it
+    was, so a retry would repeat the same Jacobian and the same search);
+    when its Jacobian is singular; after 60 iterations; or where a
+    one-by-one search would have met an unconverged point.  The starts
+    after the first that converged stop too: a one-by-one search would
+    not have reached them.
 
     Returns the last iterate (K, 2) and residual norm of every start, and
     for each start that unconverged point, or None.
@@ -534,12 +534,21 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
     def norms(r, ok):
         return np.where(ok, np.max(np.abs(r), axis=-1), math.inf)
 
+    def batch(s_pts, offsets):
+        # every point is clipped 1e-9 a_max inside the component, so a
+        # stencil that goes unused still cannot trip _check_nonsingular,
+        # whose guard is 1e-12 a_max
+        pts = to_lam(s_pts[:, None] + offsets)
+        rr, okk = resid_rows(pts.reshape(-1, 2))
+        return pts, rr.reshape(pts.shape), okk.reshape(pts.shape[:2])
+
     u = np.clip((lam0 - los) / widths, 1e-12, 1.0 - 1e-12)
     s = np.log(u / (1.0 - u))
-    r, ok = resid_rows(to_lam(s))
+    pts, rr, okk = batch(s, _STENCIL)
+    r, ok, jac_pts, jac_r, jac_ok = rr[:, 0], okk[:, 0], pts[:, 1:], rr[:, 1:], okk[:, 1:]
     nrm = norms(r, ok)
     stuck = [None if good else to_lam(s[k]) for k, good in enumerate(ok)]
-    running = ok.copy()
+    running, has_jac = ok.copy(), np.ones(len(s), dtype=bool)
     for _ in range(60):
         converged = nrm <= tol_omega
         running &= ~converged
@@ -548,9 +557,10 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
         act = np.flatnonzero(running)
         if not act.size:
             break
-        pts = to_lam(s[act, None] + _JAC_OFFSETS)
-        rp, ok = resid_rows(pts.reshape(-1, 2))
-        rp, ok = rp.reshape(-1, 4, 2), ok.reshape(-1, 4)
+        fresh = act[~has_jac[act]]
+        if fresh.size:
+            jac_pts[fresh], jac_r[fresh], jac_ok[fresh] = batch(s[fresh], _JAC_OFFSETS)
+        pts, rp, ok = jac_pts[act], jac_r[act], jac_ok[act]
         jac = np.stack([rp[:, 0] - rp[:, 1], rp[:, 2] - rp[:, 3]], axis=2) / (2.0 * _JAC_H)
         good = ok.all(axis=1)
         for k in np.flatnonzero(~good):
@@ -567,10 +577,14 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
             continue
         cands = s[act, None] + _DAMPING[:, None] * step[:, None]
         lam_c = to_lam(cands)
-        rc, ok = resid_rows(lam_c[:, 0])
+        pts_c, rcs, okc = batch(cands[:, 0], _STENCIL)
+        rc, ok = rcs[:, 0], okc[:, 0]
         nc = norms(rc, ok)
         take = nc < nrm[act]
-        s[act[take]], r[act[take]], nrm[act[take]] = cands[take, 0], rc[take], nc[take]
+        kept = act[take]
+        s[kept], r[kept], nrm[kept] = cands[take, 0], rc[take], nc[take]
+        has_jac[act] = take
+        jac_pts[kept], jac_r[kept], jac_ok[kept] = pts_c[take, 1:], rcs[take, 1:], okc[take, 1:]
         for k in np.flatnonzero(~ok):
             stuck[act[k]], running[act[k]] = lam_c[k, 0], False
         damp = np.flatnonzero(ok & ~take)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confocal_billiards import cli, document, plotting
-from confocal_billiards import class_by_id, engine, find_spt
+from confocal_billiards import Ellipsoid, WindingNumbers, class_by_id, engine, find_spt
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +133,25 @@ def test_class_ids_round_trip_and_the_parser_is_shared(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "classes", "list")
     assert code == 1 and "usage" in err
+
+
+def test_spt_find_names_a_winding_or_class_of_the_wrong_dimension(capsys):
+    # both used to fail with a misleading message: a FeasibilityError about
+    # deltas, and "unknown class id"
+    cls = class_by_id("H1H1:R2i+R2o", 2)
+    with pytest.raises(ValueError, match=r"winding \(4, 3\) has 2 numbers; class .* needs 3"):
+        find_spt(cls, Ellipsoid((0.13, 0.8, 1.0)), WindingNumbers((4, 3)))
+    with pytest.raises(KeyError, match="belongs to dimension 3, not to dimension 2"):
+        class_by_id("H1H1:R2i+R2o", 1)
+    with pytest.raises(KeyError, match="belongs to dimension 2, not to dimension 3"):
+        class_by_id("E:Rx+fRx", 2)
+    for extra, kind, words in (
+            (["--axes", "0.13,0.8,1", "--winding", "4,3"], "ValueError", "has 2 numbers"),
+            (["--axes", "0.16,1"], "KeyError", "belongs to dimension 3")):
+        code, out, err = run_cli(capsys, "spt", "find", "--class", "H1H1:R2i+R2o", *extra)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == kind and words in payload["message"]
 
 
 def test_document_17_digit_floats(tmp_path, ell_thin):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from confocal_billiards import (
     Ellipsoid,
     NoSolutionInComponent,
     QuadratureNotConverged,
+    STOCK_ELLIPSOIDS_3D,
     SingularCaustic,
     WindingNumbers,
     count_windings,
@@ -369,16 +371,40 @@ def test_quadrature_non_convergence_is_reported(ell_mid, ell2d):
         rotation_number(CausticParams((0.1,), "E"), ell2d, tol=-1.0)
 
 
-@pytest.mark.parametrize("ctype,m,axes", [
+GOLDEN_INVERSIONS = [
     ("H1H1", (4, 3, 2), (0.13, 0.8, 1.0)),
     ("EH2", (5, 4, 2), (0.2, 0.3969, 1.0)),
     ("H1H2", (6, 4, 2), (0.13, 0.45, 1.0)),
     ("EH1", (6, 4, 2), (0.13, 0.8, 1.0)),
-])
+]
+#: Per golden row: the scan grid's size (H1H1 keeps the points with
+#: x1 < x2) and the most _omega_rows calls Newton may make after it.
+GOLDEN_CALLS = {"H1H1": (378, 5), "EH2": (784, 4), "H1H2": (784, 11), "EH1": (784, 4)}
+
+
+@pytest.mark.parametrize("ctype,m,axes", GOLDEN_INVERSIONS)
 def test_golden_inversion_scans_in_batches(monkeypatch, ctype, m, axes):
+    # the whole grid in one call; then each Newton point goes in one call
+    # with its Jacobian stencil
     calls = _count_omega_rows(monkeypatch)
     invert_frequency(WindingNumbers(m).target(), ctype, Ellipsoid(axes))
-    assert 0 < len(calls) < 100
+    grid_rows, newton_calls = GOLDEN_CALLS[ctype]
+    assert calls[0] == grid_rows
+    assert 0 < len(calls) - 1 <= newton_calls
+
+
+@pytest.mark.parametrize("ctype,m,axes", GOLDEN_INVERSIONS)
+def test_inversion_peak_memory(ctype, m, axes):
+    # the one-call scan's temporaries stay bounded by quadrature._CHUNK
+    target, ell = WindingNumbers(m).target(), Ellipsoid(axes)
+    invert_frequency(target, ctype, ell)        # warm: node tables, caches
+    tracemalloc.start()
+    try:
+        invert_frequency(target, ctype, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class _Unconverged(Exception):
@@ -492,8 +518,8 @@ def _count_newton_calls(monkeypatch, newton) -> list[int]:
 def _check_one_point_match(monkeypatch, target, ctype, ell, ratio):
     """Same outcome as the one-point reference, from fewer Newton calls.
 
-    Newton's own _omega_rows calls are counted, not the scan's: 3x fewer
-    one-point calls (a lone start's initial point and full steps) and
+    Newton's own _omega_rows calls are counted, not the scan's: no
+    single-row call (a point goes with its Jacobian stencil) and
     ``ratio`` x fewer calls in all.
     """
     newton = spectral._newton_2d
@@ -501,7 +527,7 @@ def _check_one_point_match(monkeypatch, target, ctype, ell, ratio):
     batched = _inversion_outcome(target, ctype, ell)
     one_point_calls = _count_newton_calls(monkeypatch, _newton_one_point)
     assert batched == _inversion_outcome(target, ctype, ell)
-    assert 3 * batched_calls.count(1) < len(one_point_calls)
+    assert 1 not in batched_calls
     assert 0 < ratio * len(batched_calls) < len(one_point_calls)
 
 
@@ -515,6 +541,33 @@ def test_batched_newton_matches_one_point_search(monkeypatch, ctype, m, axes):
     # points in one call) and line search; stalls also run five in one
     ratio = 2 if m == (5, 4, 2) else 8
     _check_one_point_match(monkeypatch, WindingNumbers(m).target(), ctype, Ellipsoid(axes), ratio)
+
+
+@st.composite
+def inversion_targets(draw):
+    """omega of seeded caustics of a 2D type on a stock shape, some near an edge."""
+    ell = draw(st.sampled_from(STOCK_ELLIPSOIDS_3D))
+    ctype = draw(st.sampled_from(("EH1", "H1H1", "EH2", "H1H2")))
+    bounds = caustic_component_bounds(ctype, ell)
+    u = [draw(st.floats(0.05, 0.95)) for _ in bounds]
+    if draw(st.booleans()):         # one coordinate 1e-5 to 1e-3 (relative) from an edge
+        off = 10.0 ** draw(st.floats(-5.0, -3.0))
+        u[draw(st.integers(0, 1))] = off if draw(st.booleans()) else 1.0 - off
+    lams = sorted(lo + x * (hi - lo) for (lo, hi), x in zip(bounds, u))
+    assume(lams[1] - lams[0] > 1e-3 * (bounds[0][1] - bounds[0][0]))
+    return frequency_map(CausticParams(tuple(lams), ctype), ell).omega, ctype, ell
+
+
+@settings(max_examples=20)
+@given(inversion_targets())
+def test_speculative_stencils_match_one_point_search(case):
+    # the stencils evaluated with each full step change no iterate, stop
+    # or reported point: the same lambda bits, or the same stall message
+    target, ctype, ell = case
+    batched = _inversion_outcome(target, ctype, ell)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_newton_2d", _newton_one_point)
+        assert _inversion_outcome(target, ctype, ell) == batched
 
 
 @pytest.mark.parametrize("case", SECOND_START)
