@@ -136,6 +136,9 @@ def _cmd_freq(args) -> int:
                           "error": fv.error}))
         return 0
     w = WindingNumbers(args.winding)
+    if len(w.m) != ell.dim:
+        raise ValueError(f"winding {w.m} has {len(w.m)} numbers; axes {ell.axes} "
+                         f"(dimension {ell.dim}) need {ell.dim}")
     lam = invert_frequency(w.target(), args.ctype, ell)
     fv = frequencies(lam, ell)
     print(json.dumps({"type": lam.ctype,

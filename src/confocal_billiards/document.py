@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -129,9 +130,21 @@ def trajectory_from_document(doc: dict) -> Trajectory:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write through a temp file and a rename.
+
+    The file keeps the mode of the one it replaces; a new file gets
+    0o666 less the umask, as ``open`` gives it (the temp file is 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)         # the only portable read; restored at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

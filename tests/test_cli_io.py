@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -154,6 +156,18 @@ def test_spt_find_names_a_winding_or_class_of_the_wrong_dimension(capsys):
         assert payload["error"] == kind and words in payload["message"]
 
 
+def test_freq_invert_names_a_winding_of_the_wrong_length(capsys):
+    # used to say "target length 1 != n = 2"
+    for winding, count in (("4,3", 2), ("4,3,2,1", 4)):
+        code, out, err = run_cli(capsys, "freq", "invert", "--axes", "0.13,0.8,1",
+                                 "--type", "H1H1", "--winding", winding)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == (f"winding ({winding.replace(',', ', ')}) has {count} numbers; "
+                                      "axes (0.13, 0.8, 1.0) (dimension 3) need 3")
+
+
 def test_document_17_digit_floats(tmp_path, ell_thin):
     traj = find_spt(class_by_id("H1H2:R+fR13", 2), ell_thin)
     text = document.dumps(document.trajectory_to_document(traj))
@@ -170,6 +184,26 @@ def test_atomic_write(tmp_path):
     document.write_atomic(str(target), "hello\n")
     assert target.read_text() == "hello\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_write_file_mode(tmp_path):
+    # a new file gets the mode open() would give it, not mkstemp's 0o600,
+    # and an overwritten file keeps its mode
+    target = tmp_path / "out.json"
+    old = os.umask(0o022)
+    try:
+        document.write_atomic(str(target), "a\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        target.chmod(0o640)
+        document.write_atomic(str(target), "b\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        os.umask(0o077)
+        document.write_atomic(str(tmp_path / "new.json"), "c\n")
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert target.read_text() == "b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "out.json"]
 
 
 def test_spt_find_verifies_once(monkeypatch, capsys):

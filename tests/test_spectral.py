@@ -27,6 +27,7 @@ from confocal_billiards import (
 )
 from confocal_billiards import quadrature, spectral
 from confocal_billiards.dynamics import reversor_from_key
+from confocal_billiards.engine import ATLAS_FALLBACK_SHAPES
 from confocal_billiards.geometry import caustic_component_bounds
 from confocal_billiards.spectral import (
     default_tangent_start,
@@ -120,6 +121,24 @@ def test_inversion_residual(ell_flat):
     lam = invert_frequency(target, "H1H1", ell_flat)
     om = frequency_map(lam, ell_flat).omega
     assert max(abs(a - b) for a, b in zip(om, target)) <= 1e-10
+
+
+def test_stalled_1d_inversion_reports_its_last_residual(monkeypatch, ell2d):
+    # a tolerance no residual meets runs the bracket down; the message
+    # gives the last residual, and no point is evaluated twice
+    target = rotation_number(CausticParams((0.08,), "E"), ell2d).omega[0]
+    points = []
+
+    def logging(lam, ell, tol=None):
+        fv = rotation_number(lam, ell, tol)
+        points.append((lam.lambdas[0], fv.omega[0]))
+        return fv
+
+    monkeypatch.setattr(spectral, "rotation_number", logging)
+    with pytest.raises(NoSolutionInComponent) as exc:
+        invert_frequency((target,), "E", ell2d, tol_omega=-1.0)
+    assert len({x for x, _ in points}) == len(points) > 1
+    assert str(exc.value) == f"bisection stalled at rho residual {points[-1][1] - target}"
 
 
 def test_no_solution_raises(ell_unit2d):
@@ -313,17 +332,61 @@ def test_empty_interval_is_refused():
                                     np.tile(roots, (2, 1)), (0, 1))
 
 
-def _count_omega_rows(monkeypatch) -> list[int]:
-    """Patch ``spectral._omega_rows`` to log the row count of every call."""
-    calls = []
-    original = spectral._omega_rows
+def _count_omega_rows(monkeypatch) -> list[tuple[str, int]]:
+    """Patch ``spectral._omega_rows`` to log the stage and row count of every call.
 
-    def counting(lams, ell, tol):
-        calls.append(len(lams))
-        return original(lams, ell, tol)
+    The stage is "level 4" for a call stopped at quadrature level 4,
+    "newton" for a call inside ``_newton_2d``, and "full" otherwise.
+    """
+    calls, inside = [], []
+    original, newton = spectral._omega_rows, spectral._newton_2d
+
+    def counting(lams, ell, tol, **kw):
+        level4 = kw.get("max_level") == quadrature._BASE_LEVEL + 1
+        calls.append(("level 4" if level4 else "newton" if inside else "full", len(lams)))
+        return original(lams, ell, tol, **kw)
+
+    def wrapped(*args):
+        inside.append(True)
+        try:
+            return newton(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(spectral, "_omega_rows", counting)
+    monkeypatch.setattr(spectral, "_newton_2d", wrapped)
     return calls
+
+
+def _scan_grid(ctype, ell):
+    """The inverter's scan grid: edge-clustered per axis, x1 < x2 for H1H1."""
+    (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
+    margin = 1e-9 * ell.axes[-1]
+    return np.array([(x1, x2) for x1 in spectral._edge_clustered_grid(lo1, hi1)
+                     for x2 in spectral._edge_clustered_grid(lo2, hi2)
+                     if ctype != "H1H1" or not x2 <= x1 + margin])
+
+
+def _full_scan_starts(omega_rows, target, ctype, ell):
+    """The six best (norm, x1, x2) of the grid, every row converged in full."""
+    grid = _scan_grid(ctype, ell)
+    omega, _, ok = omega_rows(grid, ell, 1e-12)
+    norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
+    return sorted((nrm, x1, x2) for nrm, (x1, x2) in zip(norms.tolist(), grid.tolist()))[:6]
+
+
+def _logged_starts(monkeypatch, target, ctype, ell):
+    """The Newton starts of an inversion, batch by batch; Newton stops at once."""
+    batches = []
+
+    def newton(resid_rows, clip, lam0, b1, b2, tol_omega):
+        batches.append([tuple(row) for row in lam0.tolist()])
+        return lam0, [math.inf] * len(lam0), [None] * len(lam0)
+
+    monkeypatch.setattr(spectral, "_newton_2d", newton)
+    with pytest.raises(NoSolutionInComponent):
+        invert_frequency(target, ctype, ell)
+    return batches
 
 
 @pytest.mark.parametrize("coarse", [False, True])
@@ -335,28 +398,13 @@ def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
     target = np.array(WindingNumbers((4, 3, 2)).target())
     original = spectral._omega_rows
 
-    def omega_rows(lams, ell, tol):
-        omega, err, ok = original(lams, ell, tol)
+    def omega_rows(lams, ell, tol, **kw):
+        omega, err, ok = original(lams, ell, tol, **kw)
         return (np.round(omega * 4.0) / 4.0 if coarse else omega), err, ok
 
-    batches = []
-
-    def newton(resid_rows, clip, lam0, b1, b2, tol_omega):
-        batches.append([tuple(row) for row in lam0.tolist()])
-        return lam0, [math.inf] * len(lam0), [None] * len(lam0)
-
     monkeypatch.setattr(spectral, "_omega_rows", omega_rows)
-    monkeypatch.setattr(spectral, "_newton_2d", newton)
-    with pytest.raises(NoSolutionInComponent):
-        invert_frequency(target, ctype, ell)
-
-    (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
-    margin = 1e-9 * ell.axes[-1]
-    grid = [(x1, x2) for x1 in spectral._edge_clustered_grid(lo1, hi1)
-            for x2 in spectral._edge_clustered_grid(lo2, hi2) if not x2 <= x1 + margin]
-    omega, _, ok = omega_rows(np.array(grid), ell, 1e-12)
-    norms = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
-    ref = sorted((nrm, x1, x2) for nrm, (x1, x2) in zip(norms.tolist(), grid))[:6]
+    batches = _logged_starts(monkeypatch, target, ctype, ell)
+    ref = _full_scan_starts(omega_rows, target, ctype, ell)
     # the best start alone, then the other five in one stack
     assert [len(b) for b in batches] == [1, 5]
     assert [x for b in batches for x in b] == [(x1, x2) for _, x1, x2 in ref]
@@ -378,19 +426,41 @@ GOLDEN_INVERSIONS = [
     ("EH1", (6, 4, 2), (0.13, 0.8, 1.0)),
 ]
 #: Per golden row: the scan grid's size (H1H1 keeps the points with
-#: x1 < x2) and the most _omega_rows calls Newton may make after it.
-GOLDEN_CALLS = {"H1H1": (378, 5), "EH2": (784, 4), "H1H2": (784, 11), "EH1": (784, 4)}
+#: x1 < x2), the most rows the scan may converge in full after level 4,
+#: and the most _omega_rows calls Newton may make after it.
+GOLDEN_CALLS = {"H1H1": (378, 10, 5), "EH2": (784, 6, 4), "H1H2": (784, 8, 11),
+                "EH1": (784, 11, 4)}
 
 
 @pytest.mark.parametrize("ctype,m,axes", GOLDEN_INVERSIONS)
 def test_golden_inversion_scans_in_batches(monkeypatch, ctype, m, axes):
-    # the whole grid in one call; then each Newton point goes in one call
-    # with its Jacobian stencil
+    # the whole grid in one call to level 4, then the few rows that can
+    # still rank among the starts in one full call; then each Newton
+    # point goes in one call with its Jacobian stencil
     calls = _count_omega_rows(monkeypatch)
     invert_frequency(WindingNumbers(m).target(), ctype, Ellipsoid(axes))
-    grid_rows, newton_calls = GOLDEN_CALLS[ctype]
-    assert calls[0] == grid_rows
-    assert 0 < len(calls) - 1 <= newton_calls
+    grid_rows, full_rows, newton_calls = GOLDEN_CALLS[ctype]
+    stages = [stage for stage, _ in calls]
+    full = [rows for stage, rows in calls if stage == "full"]
+    assert calls[0] == ("level 4", grid_rows)
+    assert stages == ["level 4"] + ["full"] * len(full) + ["newton"] * (len(calls) - 1 - len(full))
+    assert len(full) == 1 and full[0] <= full_rows
+    assert 0 < stages.count("newton") <= newton_calls
+
+
+@pytest.mark.parametrize("ell", ATLAS_FALLBACK_SHAPES, ids=lambda e: str(e.axes))
+def test_level4_scan_error_within_its_bound(ell):
+    # a row converged at level 4 has its final bits; any other row is
+    # within its bound, the change from level 3 to 4, with room to spare
+    for ctype in ("EH1", "H1H1", "EH2", "H1H2"):
+        grid = _scan_grid(ctype, ell)
+        omega4, err4, ok4 = spectral._omega_rows(grid, ell, 1e-12,
+                                                 max_level=quadrature._BASE_LEVEL + 1)
+        omega, _, ok = spectral._omega_rows(grid, ell, 1e-12)
+        assert ok.all() and 0 < ok4.sum() < len(grid)
+        assert np.array_equal(omega4[ok4], omega[ok4])
+        dev = np.max(np.abs(omega - omega4), axis=1)[~ok4]
+        assert np.all(dev <= 1e-3 * err4[~ok4])
 
 
 @pytest.mark.parametrize("ctype,m,axes", GOLDEN_INVERSIONS)
@@ -498,10 +568,10 @@ def _count_newton_calls(monkeypatch, newton) -> list[int]:
     calls, inside = [], []
     rows = spectral._omega_rows
 
-    def counting(lams, ell, tol):
+    def counting(lams, ell, tol, **kw):
         if inside:
             calls.append(len(lams))
-        return rows(lams, ell, tol)
+        return rows(lams, ell, tol, **kw)
 
     def wrapped(*args):
         inside.append(True)
@@ -570,6 +640,20 @@ def test_speculative_stencils_match_one_point_search(case):
         assert _inversion_outcome(target, ctype, ell) == batched
 
 
+@settings(max_examples=30)
+@given(inversion_targets())
+def test_lazy_scan_starts_match_full_scan(case):
+    # the grid at level 4 and a few rows in full give the six starts, in
+    # order, of a scan that converges every row, and their exact norms
+    target, ctype, ell = np.array(case[0]), case[1], case[2]
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _logged_starts(mp, target, ctype, ell)
+    ref = _full_scan_starts(spectral._omega_rows, target, ctype, ell)
+    assert [x for b in batches for x in b] == [(x1, x2) for _, x1, x2 in ref]
+    norms = spectral._scan_norms(_scan_grid(ctype, ell), target, ell, 1e-12)
+    assert sorted(norms.tolist())[:6] == [nrm for nrm, _, _ in ref]
+
+
 @pytest.mark.parametrize("case", SECOND_START)
 def test_second_start_wins_after_the_best_stalls(monkeypatch, case):
     ctype, axes, target = case
@@ -599,8 +683,8 @@ def test_unconverged_point_of_a_later_start(monkeypatch, case, converges):
     rows, newton = spectral._omega_rows, spectral._newton_2d
     poisoned = []
 
-    def omega_rows(lams, ell, tol):
-        omega, err, ok = rows(lams, ell, tol)
+    def omega_rows(lams, ell, tol, **kw):
+        omega, err, ok = rows(lams, ell, tol, **kw)
         for lam in poisoned:
             ok = ok & ~np.all(np.abs(np.asarray(lams).reshape(-1, 2) - lam) < 1e-12, axis=1)
         return omega, err, ok
