@@ -17,7 +17,6 @@ from functools import cache
 
 from . import document, plotting
 from .engine import (
-    CTYPES_BY_DIM,
     class_by_id,
     class_count,
     enumerate_classes,
@@ -26,7 +25,7 @@ from .engine import (
     verify_trajectory,
 )
 from .errors import BilliardError, VerificationFailed
-from .geometry import CausticParams, Ellipsoid
+from .geometry import CausticParams, Ellipsoid, caustic_types
 from .spectral import WindingNumbers, frequencies, invert_frequency
 
 USAGE_EXIT, NUMERIC_EXIT, VERIFY_EXIT = 1, 2, 3
@@ -101,7 +100,7 @@ def _build_parser() -> _Parser:
 def _cmd_classes(args) -> int:
     classes = enumerate_classes(args.dim - 1)
     if args.ctype is not None:
-        ctypes = CTYPES_BY_DIM[args.dim - 1]
+        ctypes = caustic_types(args.dim - 1)
         if args.ctype not in ctypes:
             raise _UsageError(f"--type {args.ctype!r} is not a caustic type in dimension "
                               f"{args.dim}; choose one of {', '.join(ctypes)}")

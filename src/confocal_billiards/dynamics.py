@@ -59,20 +59,6 @@ class PhasePoint:
         return np.array(self.p)
 
 
-def phase_point_residuals(m: PhasePoint, ell: Ellipsoid) -> tuple[float, float, float]:
-    """(surface residual, |p|-1, <Dq,p>); the last must be positive."""
-    q, p = m.q_arr, m.p_arr
-    return (abs(ell.constraint(q)),
-            abs(float(np.linalg.norm(p)) - 1.0),
-            float(ell.normal(q) @ p))
-
-
-def is_valid_phase_point(m: PhasePoint, ell: Ellipsoid,
-                         q_tol: float = 1e-12, p_tol: float = 1e-14) -> bool:
-    rq, rp, outward = phase_point_residuals(m, ell)
-    return rq <= q_tol and rp <= p_tol and outward > 0.0
-
-
 @dataclass(frozen=True)
 class Reflection:
     """Diagonal reflection sigma = diag(signs), signs in {-1, +1}."""

@@ -2,7 +2,8 @@
 
 A class of symmetric periodic trajectories is a caustic type plus an
 unordered pair of distinct cuboid vertexes.  That gives 2 x 6 = 12
-classes in 2D and 4 x 28 = 112 in 3D; in general 2^{2n} (2^{n+1} - 1).
+classes in 2D, 4 x 28 = 112 in 3D and 8 x 120 = 960 in 4D; in general
+2^{2n} (2^{n+1} - 1).
 
 Construction follows the five-step recipe: pick the class's minimal
 winding numbers, invert the frequency map inside the right component,
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailed,
 )
-from .geometry import CausticParams, Ellipsoid, cartesian_to_elliptic, caustic_params_of_lines, cuboid
+from .geometry import (CausticParams, Ellipsoid, cartesian_to_elliptic, caustic_params_of_lines,
+                       caustic_type, caustic_types, cuboid)
 from .spectral import (
     WindingNumbers,
     count_turning_events,
@@ -47,8 +49,6 @@ from .symmetry import (
     seed_point_at_vertex,
     symmetry_set_members,
 )
-
-CTYPES_BY_DIM = {1: ("E", "H"), 2: ("EH1", "H1H1", "EH2", "H1H2")}
 
 #: Ellipsoid shapes used throughout the published numeric examples.
 STOCK_ELLIPSOIDS_3D = (
@@ -77,10 +77,6 @@ def class_count(n: int) -> int:
     if n < 1:
         raise UnsupportedDimension("need n >= 1")
     return 4 ** n * (2 ** (n + 1) - 1)
-
-
-def kind_of_winding(w: WindingNumbers) -> tuple[str, ...]:
-    return w.kind
 
 
 def vertex_delta_of_kind(w: WindingNumbers) -> tuple[int, ...]:
@@ -144,48 +140,44 @@ class SptClass:
 
     @cached_property
     def reversors(self) -> tuple[tuple[Reversor, int | None], ...]:
-        """(reversor, side) of each vertex; side tags H1H1 outer/inner."""
+        """(reversor, side) of each vertex, as ``reversor_of_vertex`` gives them."""
         return tuple(reversor_of_vertex(v, self.ctype) for v in self.vertex_pair)
 
     @cached_property
+    def tags(self) -> tuple[str, ...]:
+        """Per vertex, o (outer) or i (inner) for each interval between two caustics.
+
+        Two caustics in one axis interval (H1H1) bound one oscillation
+        interval; vertexes with one reversor differ only in which of the
+        two, the lower (outer) or the upper (inner), they take.
+        """
+        paired = [lo[0] == hi[0] == "L" for lo, hi in caustic_type(self.ctype).intervals]
+        return tuple("".join("oi"[b] for b, p in zip(v.mask, paired) if p)
+                     for v in self.vertex_pair)
+
+    @cached_property
     def class_id(self) -> str:
-        parts = []
-        for r, side in self.reversors:
-            tag = ""
-            if self.ctype == "H1H1" and side is not None:
-                tag = "o" if side == 1 else "i"
-            parts.append(r.key + tag)
-        return f"{self.ctype}:{'+'.join(sorted(parts))}"
+        parts = sorted(r.key + tag for (r, _), tag in zip(self.reversors, self.tags))
+        return f"{self.ctype}:{'+'.join(parts)}"
 
     @cached_property
     def couple_label(self) -> str:
-        """Reversor couple; H1H1 uses the outer|inner bar notation."""
-        if self.ctype != "H1H1":
+        """Reversor couple; tagged types use the outer | inner bar notation."""
+        if not self.tags[0]:
             return "{" + ", ".join(sorted(r.label for r, _ in self.reversors)) + "}"
-        outer = sorted(r.label for r, side in self.reversors if side == 1)
-        inner = sorted(r.label for r, side in self.reversors if side == 2)
-        return "(" + ", ".join(outer) + " | " + ", ".join(inner) + ")"
+        groups = ("".join(g) for g in product("oi", repeat=len(self.tags[0])))
+        return "(" + " | ".join(
+            ", ".join(sorted(r.label for (r, _), tag in zip(self.reversors, self.tags) if tag == g))
+            for g in groups) + ")"
 
     def compatible_winding(self, w: WindingNumbers) -> bool:
         return vertex_delta_of_kind(w) == self.delta and not parity_violations(w, self.ctype)
 
 
 def enumerate_classes(n: int) -> list[SptClass]:
-    """Every (caustic type, vertex pair) class; 12 for n=1, 112 for n=2."""
-    if n not in CTYPES_BY_DIM:
-        raise UnsupportedDimension(
-            f"catalogs available for n in {sorted(CTYPES_BY_DIM)}; "
-            f"class_count({n}) = {class_count(n)} still applies")
-    verts = all_vertexes(n + 1)
-
-    def mask_int(v: CuboidVertex) -> int:
-        return sum(b << i for i, b in enumerate(v.mask))
-
-    out = []
-    for ctype in CTYPES_BY_DIM[n]:
-        for v1, v2 in combinations(sorted(verts, key=mask_int), 2):
-            out.append(SptClass(ctype, (v1, v2)))
-    return out
+    """Every (caustic type, vertex pair) class: 12 for n=1, 112 for n=2, 960 for n=3."""
+    return [SptClass(ctype, pair) for ctype in caustic_types(n)
+            for pair in combinations(all_vertexes(n + 1), 2)]
 
 
 @cache
@@ -195,14 +187,15 @@ def _classes_by_id(n: int) -> dict[str, SptClass]:
 
 
 def class_by_id(class_id: str, n: int) -> SptClass:
+    """The class of n caustics with this id; its caustic type names its catalog."""
     try:
-        return _classes_by_id(n)[class_id]
-    except KeyError:
-        for m in {1, 2} - {n}:
-            if class_id in _classes_by_id(m):
-                raise KeyError(f"class id {class_id!r} belongs to dimension {m + 1}, "
-                               f"not to dimension {n + 1}") from None
+        cls = _classes_by_id(caustic_type(class_id.partition(":")[0]).n)[class_id]
+    except (ValueError, KeyError):
         raise KeyError(f"unknown class id {class_id!r}") from None
+    if cls.dim != n + 1:
+        raise KeyError(f"class id {class_id!r} belongs to dimension {cls.dim}, "
+                       f"not to dimension {n + 1}")
+    return cls
 
 
 # --------------------------------------------------------------------------
@@ -418,11 +411,8 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
 # --------------------------------------------------------------------------
 
 def _seed_vertex_of(cls: SptClass) -> CuboidVertex:
-    """Prefer a vertex whose reversor is tilde-family (impact seed)."""
-    for v in cls.vertex_pair:
-        if v.kinds(cls.ctype)[0] == "0":
-            return v
-    return cls.vertex_pair[0]
+    """Prefer a tilde-family vertex (impact seed): its mask takes 0, the low end of I_0."""
+    return next((v for v in cls.vertex_pair if not v.mask[0]), cls.vertex_pair[0])
 
 
 def _build_orbit(vertex: CuboidVertex, lam: CausticParams, ell: Ellipsoid,

@@ -9,17 +9,19 @@ tangent to exactly n nonsingular members of the family, its caustic
 parameters.
 
 Conventions: coordinate j pairs with axis a_j, so in 2D the first
-coordinate runs along the *short* axis.  Caustic types are "E"/"H" for
-n=1 and "EH1"/"H1H1"/"EH2"/"H1H2" for n=2, named after the quadric kind
-of each caustic.
+coordinate runs along the *short* axis.  Caustic types come from the
+interleaving rule of ``caustic_type``: "E"/"H" for n=1,
+"EH1"/"H1H1"/"EH2"/"H1H2" for n=2, "EH1H2"/"H1H1H2"/... for n=3, named
+after the quadric kind of each caustic.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -31,8 +33,6 @@ from .errors import (
     SingularLine,
     UnsupportedDimension,
 )
-
-CAUSTIC_TYPES = {1: ("E", "H"), 2: ("EH1", "H1H1", "EH2", "H1H2")}
 
 
 @dataclass(frozen=True)
@@ -93,44 +93,80 @@ class Ellipsoid:
         return v / s
 
 
+@dataclass(frozen=True)
+class CausticType:
+    """One component of the nonsingular caustic space (see ``caustic_type``).
+
+    ``lows[i]`` indexes the lower bound of lambda_{i+1} in (0, a_1, ...,
+    a_{n+1}); ``kinds`` are the cuboid's breakpoints, ascending: "0",
+    "A<j>" a squared semiaxis, "L<i>" a caustic parameter (1-based).
+    """
+
+    name: str
+    lows: tuple[int, ...]
+    kinds: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.lows)
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[str, str], ...]:
+        """(low, high) breakpoint kinds of each oscillation interval."""
+        return tuple(zip(self.kinds[0::2], self.kinds[1::2]))
+
+
+def _type_name(above) -> str:
+    """E below a_1, H<j> between a_j and a_{j+1}; the index dropped for n = 1."""
+    name = "".join(f"H{i + b}" if i + b else "E" for i, b in enumerate(above))
+    return name if len(above) > 1 else name.rstrip("1")
+
+
+@cache
+def caustic_type(ctype: str) -> CausticType:
+    """The component named ctype, from the interleaving rule (ValueError if none).
+
+    lambda_i lies below or above a_i, inside (a_{i-1}, a_{i+1}) with
+    a_0 = 0, so n caustics give 2^n types.
+    """
+    tokens = re.findall(r"E|H\d*", ctype)
+    above = [tok in ("H", f"H{i + 1}") for i, tok in enumerate(tokens)]
+    if not tokens or _type_name(above) != ctype:
+        raise ValueError(f"unknown caustic type {ctype!r}")
+    lows = tuple(i + b for i, b in enumerate(above))
+    kinds = ["0"]
+    for j in range(len(lows) + 1):
+        kinds += [f"L{i + 1}" for i, lo in enumerate(lows) if lo == j] + [f"A{j + 1}"]
+    return CausticType(ctype, lows, tuple(kinds))
+
+
+@cache
+def caustic_types(n: int) -> tuple[str, ...]:
+    """The 2^n types of n caustics; bit i of the index puts lambda_{i+1} above a_{i+1}."""
+    if n < 1:
+        raise UnsupportedDimension("need n >= 1")
+    return tuple(_type_name([k >> i & 1 for i in range(n)]) for k in range(2 ** n))
+
+
 def caustic_type_of(lambdas, ell: Ellipsoid) -> str:
     """Classify which component of the nonsingular caustic space lam is in."""
-    a = ell.axes
     lams = tuple(float(v) for v in lambdas)
     if len(lams) != ell.n:
         raise ValueError(f"expected {ell.n} caustic parameters, got {len(lams)}")
-    if ell.n == 1:
-        return "E" if lams[0] < a[0] else "H"
-    if ell.n == 2:
-        first = "E" if lams[0] < a[0] else "H1"
-        second = "H1" if lams[1] < a[1] else "H2"
-        if first == "E":
-            return "EH1" if second == "H1" else "EH2"
-        return "H1H1" if second == "H1" else "H1H2"
-    raise UnsupportedDimension("caustic types catalogued only for n <= 2")
+    return _type_name([not v < a for v, a in zip(lams, ell.axes)])
 
 
 def caustic_component_bounds(ctype: str, ell: Ellipsoid) -> tuple[tuple[float, float], ...]:
     """Open interval (lo, hi) for each caustic parameter of the component.
 
-    For H1H1 both intervals coincide and the extra ordering constraint
-    ``lambda_1 < lambda_2`` applies.
+    Where two intervals coincide (H1H1) the extra ordering constraint
+    ``lambda_i < lambda_{i+1}`` applies.
     """
-    a = ell.axes
-    table = {
-        "E": (1, ((0.0, 0),)),
-        "H": (1, ((0, 1),)),
-        "EH1": (2, ((0.0, 0), (0, 1))),
-        "H1H1": (2, ((0, 1), (0, 1))),
-        "EH2": (2, ((0.0, 0), (1, 2))),
-        "H1H2": (2, ((0, 1), (1, 2))),
-    }
-    if ctype not in table:
-        raise ValueError(f"unknown caustic type {ctype!r}")
-    n, spec = table[ctype]
-    if ell.n != n:
+    t = caustic_type(ctype)
+    if ell.n != t.n:
         raise ValueError(f"caustic type {ctype!r} incompatible with n={ell.n}")
-    return tuple((lo if isinstance(lo, float) else a[lo], a[hi]) for lo, hi in spec)
+    a = (0.0,) + ell.axes
+    return tuple((a[lo], a[lo + 1]) for lo in t.lows)
 
 
 @dataclass(frozen=True)
@@ -208,10 +244,6 @@ class Cuboid:
     def vertex_values(self, mask) -> tuple[float, ...]:
         """Elliptic coordinates of the vertex selected by per-interval bits."""
         return tuple(iv[b] for iv, b in zip(self.intervals, mask))
-
-    def contains(self, coords, tol: float = 0.0) -> bool:
-        return all(lo - tol <= v <= hi + tol
-                   for v, (lo, hi) in zip(coords, self.intervals))
 
     def excursion(self, coords) -> float:
         """Largest breach of the interval bounds (0 when inside).

@@ -41,6 +41,7 @@ from .geometry import (
     Ellipsoid,
     cartesian_to_elliptic,
     caustic_component_bounds,
+    caustic_type,
     cuboid,
     elliptic_coords,
     tangent_directions,
@@ -101,12 +102,7 @@ def even_required(ctype: str) -> tuple[bool, ...]:
     an endpoint (those touches are hyperplane crossings, which pair up);
     this depends only on the caustic type.
     """
-    from .symmetry import _BREAKPOINT_KINDS
-    kinds = _BREAKPOINT_KINDS[ctype]
-    out = []
-    for i in range(len(kinds) // 2):
-        out.append(kinds[2 * i].startswith("A") or kinds[2 * i + 1].startswith("A"))
-    return tuple(out)
+    return tuple("A" in (lo[0], hi[0]) for lo, hi in caustic_type(ctype).intervals)
 
 
 def parity_violations(w: WindingNumbers, ctype: str) -> list[str]:
@@ -133,13 +129,13 @@ class FrequencyValue:
 # --------------------------------------------------------------------------
 
 def _check_nonsingular(lams: np.ndarray, ell: Ellipsoid, tol: float = 1e-12):
-    """Raise SingularCaustic if any row of lams (N, n) is near a singular value."""
+    """Raise SingularCaustic if any row of lams (N, n) is near 0, an axis or its neighbour."""
     scale = ell.axes[-1]
     sing = np.array((0.0,) + ell.axes)
     near = np.min(np.abs(lams[:, :, None] - sing), axis=2) < tol * scale
     if np.any(near):
         raise SingularCaustic(f"caustic parameter {lams[near][0]} within {tol} of a singular value")
-    if ell.n >= 2 and np.any(lams[:, 1] - lams[:, 0] < tol * scale):
+    if ell.n > 1 and np.any(lams[:, 1:] - lams[:, :-1] < tol * scale):
         raise SingularCaustic("coinciding caustic parameters")
 
 
@@ -378,7 +374,8 @@ def _edge_clustered_grid(lo: float, hi: float, per_edge: int = 14) -> np.ndarray
     """
     width = hi - lo
     offs = width * np.geomspace(1e-7, 0.45, per_edge)
-    return np.unique(np.concatenate([lo + offs, hi - offs]))
+    # the halves are disjoint (lo + 0.45 w < hi - 0.45 w) and each ascends
+    return np.concatenate([lo + offs, (hi - offs)[::-1]])
 
 
 def invert_frequency(target, ctype: str, ell: Ellipsoid,
@@ -446,7 +443,7 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
                tol_omega: float, quad_tol: float | None) -> CausticParams:
     (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
     margin = 1e-9 * ell.axes[-1]
-    ordered = ctype == "H1H1"
+    ordered = (lo1, hi1) == (lo2, hi2)      # both caustics in one axis interval
     lo_in = np.array([lo1 + margin, lo2 + margin])
     hi_in = np.array([hi1 - margin, hi2 - margin])
 

@@ -17,30 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .dynamics import PhasePoint, Reflection, Reversor, nonempty_reversors
-from .errors import BranchOutOfRange, FeasibilityError, UnsupportedDimension
+from .errors import BranchOutOfRange, DegenerateOrbit, FeasibilityError
 from .geometry import (
     CausticParams,
     Cuboid,
     Ellipsoid,
+    caustic_type,
     cuboid,
     elliptic_to_cartesian,
 )
-
-# Identity of each breakpoint of the cuboid, per caustic type, sorted
-# ascending; "0" is the lower endpoint of the first interval, "A<j>" a
-# squared semiaxis, "L<i>" a caustic parameter (1-based indices).
-_BREAKPOINT_KINDS = {
-    "E": ("0", "L1", "A1", "A2"),
-    "H": ("0", "A1", "L1", "A2"),
-    "EH1": ("0", "L1", "A1", "L2", "A2", "A3"),
-    "H1H1": ("0", "A1", "L1", "L2", "A2", "A3"),
-    "EH2": ("0", "L1", "A1", "A2", "L2", "A3"),
-    "H1H2": ("0", "A1", "L1", "A2", "L2", "A3"),
-}
 
 
 @dataclass(frozen=True)
@@ -60,7 +50,8 @@ class CuboidVertex:
         return box.vertex_values(self.mask)
 
     def kinds(self, ctype: str) -> tuple[str, ...]:
-        kinds = _BREAKPOINT_KINDS[ctype]
+        """Breakpoint kinds of the vertex values (see ``CausticType.kinds``)."""
+        kinds = caustic_type(ctype).kinds
         return tuple(kinds[2 * i + b] for i, b in enumerate(self.mask))
 
 
@@ -86,12 +77,17 @@ def reversor_of_vertex(v: CuboidVertex, lam_or_ctype) -> tuple[Reversor, int | N
 
     The second entry is the 1-based index of the unique caustic parameter
     among the vertex values (None when zero or both appear); for H1H1 it
-    is the inner/outer tag (1 = outer hyperboloid, 2 = inner).
+    is the inner/outer tag (1 = outer hyperboloid, 2 = inner).  Cached
+    per (vertex, caustic type).
     """
-    family, axes, lams = _classify_kinds(v.kinds(_ctype_of(lam_or_ctype)))
-    sigma = Reflection.flipping(axes, v.dim)
+    return _vertex_reversor(v, _ctype_of(lam_or_ctype))
+
+
+@cache
+def _vertex_reversor(v: CuboidVertex, ctype: str) -> tuple[Reversor, int | None]:
+    family, axes, lams = _classify_kinds(v.kinds(ctype))
     side = lams[0] + 1 if len(lams) == 1 else None
-    return Reversor(family, sigma), side
+    return Reversor(family, Reflection.flipping(axes, v.dim)), side
 
 
 def vertex_of_reversor(r: Reversor, lam_or_ctype, side: int | None = None) -> CuboidVertex:
@@ -117,9 +113,7 @@ def vertex_of_reversor(r: Reversor, lam_or_ctype, side: int | None = None) -> Cu
 
 def feasible_reversors(ctype: str, n: int) -> set[Reversor]:
     """Reversors realizable by trajectories of the given caustic type."""
-    if n not in (1, 2):
-        raise UnsupportedDimension("feasibility catalogued only for n in {1, 2}")
-    if ctype not in _BREAKPOINT_KINDS or len(_BREAKPOINT_KINDS[ctype]) != 2 * (n + 1):
+    if caustic_type(ctype).n != n:
         raise ValueError(f"caustic type {ctype!r} invalid for n={n}")
     return {reversor_of_vertex(v, ctype)[0] for v in all_vertexes(n + 1)}
 
@@ -336,7 +330,6 @@ def classify_symmetric_point(m: PhasePoint, ell: Ellipsoid,
     or 2-periodic orbits, whose classification is undefined; they raise
     DegenerateOrbit instead of being assigned a set.
     """
-    from .errors import DegenerateOrbit
     hits = [r for r in nonempty_reversors(ell.dim)
             if symmetry_set_contains(r, m, ell, tol)]
     if len(hits) > 1:

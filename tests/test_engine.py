@@ -103,6 +103,49 @@ def test_catalog_sizes():
     assert len(ids) == 112
 
 
+#: The class ids for n = 1 and 2 as the hand-typed tables gave them, per
+#: caustic type in catalogue order; the vertex pairs of every type come
+#: in the same order.
+TYPED_CLASS_IDS = {
+    "E": "Ry+fRy Rx+Ry Ry+fRx Rx+fRy fRx+fRy Rx+fRx",
+    "H": "R+fRy R+Rx R+fRxy Rx+fRy fRxy+fRy Rx+fRxy",
+    "EH1": """R12+fR12 R12+R2 R12+fR2 R12+R13 R12+fR13 R12+R3 R12+fR3 R2+fR12 fR12+fR2
+        R13+fR12 fR12+fR13 R3+fR12 fR12+fR3 R2+fR2 R13+R2 R2+fR13 R2+R3 R2+fR3 R13+fR2
+        fR13+fR2 R3+fR2 fR2+fR3 R13+fR13 R13+R3 R13+fR3 R3+fR13 fR13+fR3 R3+fR3""",
+    "H1H1": """R2o+fR12o R2i+R2o R2o+fR12i R2o+R3o R2o+fR13o R2o+R3i R2o+fR13i R2i+fR12o
+        fR12i+fR12o R3o+fR12o fR12o+fR13o R3i+fR12o fR12o+fR13i R2i+fR12i R2i+R3o
+        R2i+fR13o R2i+R3i R2i+fR13i R3o+fR12i fR12i+fR13o R3i+fR12i fR12i+fR13i
+        R3o+fR13o R3i+R3o R3o+fR13i R3i+fR13o fR13i+fR13o R3i+fR13i""",
+    "EH2": """R1+fR1 R1+R2 R1+fR2 R1+R13 R1+fR13 R1+R23 R1+fR23 R2+fR1 fR1+fR2 R13+fR1
+        fR1+fR13 R23+fR1 fR1+fR23 R2+fR2 R13+R2 R2+fR13 R2+R23 R2+fR23 R13+fR2 fR13+fR2
+        R23+fR2 fR2+fR23 R13+fR13 R13+R23 R13+fR23 R23+fR13 fR13+fR23 R23+fR23""",
+    "H1H2": """R+fR1 R+R2 R+fR12 R+R3 R+fR13 R+R23 R+fR123 R2+fR1 fR1+fR12 R3+fR1 fR1+fR13
+        R23+fR1 fR1+fR123 R2+fR12 R2+R3 R2+fR13 R2+R23 R2+fR123 R3+fR12 fR12+fR13
+        R23+fR12 fR12+fR123 R3+fR13 R23+R3 R3+fR123 R23+fR13 fR123+fR13 R23+fR123""",
+}
+
+
+def test_derived_catalogs_keep_the_typed_ids_and_order():
+    for n, ctypes in ((1, ("E", "H")), (2, ("EH1", "H1H1", "EH2", "H1H2"))):
+        want = [f"{ct}:{couple}" for ct in ctypes for couple in TYPED_CLASS_IDS[ct].split()]
+        assert [c.class_id for c in enumerate_classes(n)] == want
+
+
+def test_catalog_in_four_dimensions():
+    classes = enumerate_classes(3)
+    ids = [c.class_id for c in classes]
+    assert len(set(ids)) == len(ids) == class_count(3) == 960
+    assert len({c.ctype for c in classes}) == 8
+    # types whose caustics share an axis interval tag their vertexes, and
+    # the couple label groups the outer | inner ones
+    cls = class_by_id("H1H1H2:R23i+R23o", 3)
+    assert cls.tags == ("o", "i") and cls.couple_label == "(R_23 | R_23)"
+    assert class_by_id("H1H2H3:R+fR1234", 3).tags == ("", "")
+    with pytest.raises(KeyError, match="belongs to dimension 4, not to dimension 3"):
+        class_by_id("H1H1H2:R23i+R23o", 2)
+    assert all(cls.compatible_winding(cls.minimal_winding) for cls in classes)
+
+
 def test_catalog_2d_matches_published_rows():
     got = {}
     for cls in enumerate_classes(1):

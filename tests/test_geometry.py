@@ -21,9 +21,10 @@ from confocal_billiards import (
     tangent_directions,
 )
 from confocal_billiards.geometry import (
-    CAUSTIC_TYPES,
     caustic_component_bounds,
     caustic_params_of_lines,
+    caustic_type,
+    caustic_types,
     elliptic_coords,
 )
 from confocal_billiards.spectral import sample_elliptic_path
@@ -188,6 +189,66 @@ def test_caustic_types():
     assert caustic_type_of((1.5,), ell2) == "H"
 
 
+# The tables that were typed in by hand before ``caustic_type`` derived
+# them, kept as the reference for n = 1 and 2: the types in catalogue
+# order, each bound as a float or an axis index (0-based), and the
+# breakpoint kinds of the cuboid, ascending.
+TYPED_CAUSTIC_TYPES = {1: ("E", "H"), 2: ("EH1", "H1H1", "EH2", "H1H2")}
+TYPED_BOUNDS = {
+    "E": ((0.0, 0),),
+    "H": ((0, 1),),
+    "EH1": ((0.0, 0), (0, 1)),
+    "H1H1": ((0, 1), (0, 1)),
+    "EH2": ((0.0, 0), (1, 2)),
+    "H1H2": ((0, 1), (1, 2)),
+}
+TYPED_BREAKPOINT_KINDS = {
+    "E": ("0", "L1", "A1", "A2"),
+    "H": ("0", "A1", "L1", "A2"),
+    "EH1": ("0", "L1", "A1", "L2", "A2", "A3"),
+    "H1H1": ("0", "A1", "L1", "L2", "A2", "A3"),
+    "EH2": ("0", "L1", "A1", "A2", "L2", "A3"),
+    "H1H2": ("0", "A1", "L1", "A2", "L2", "A3"),
+}
+
+
+def test_caustic_type_derivation_reproduces_the_typed_tables():
+    for n, names in TYPED_CAUSTIC_TYPES.items():
+        ell = Ellipsoid(np.linspace(0.2, 1.0, n + 1))
+        a = ell.axes
+        assert caustic_types(n) == names
+        for name in names:
+            t = caustic_type(name)
+            assert (t.name, t.n) == (name, n)
+            assert t.kinds == TYPED_BREAKPOINT_KINDS[name]
+            assert caustic_component_bounds(name, ell) == tuple(
+                (lo if isinstance(lo, float) else a[lo], a[hi]) for lo, hi in TYPED_BOUNDS[name])
+
+
+def test_caustic_types_in_four_dimensions():
+    names = caustic_types(3)
+    assert names == ("EH1H2", "H1H1H2", "EH2H2", "H1H2H2",
+                     "EH1H3", "H1H1H3", "EH2H3", "H1H2H3")
+    ell = Ellipsoid((0.1, 0.3, 0.6, 1.0))
+    for name in names:
+        t = caustic_type(name)
+        bounds = caustic_component_bounds(name, ell)
+        # lambda_i lies below or above a_i, and never leaves (a_{i-1}, a_{i+1})
+        for i, (lo, hi) in enumerate(bounds):
+            assert (lo, hi) in (((0.0,) + ell.axes)[i:i + 2], ell.axes[i:i + 2])
+        lams = sorted(lo + u * (hi - lo) for u, (lo, hi) in zip((0.3, 0.7, 0.5), bounds))
+        assert caustic_type_of(lams, ell) == name
+        box = cuboid(CausticParams.from_values(lams, ell), ell)
+        value = {"0": 0.0, **{f"A{j + 1}": v for j, v in enumerate(ell.axes)},
+                 **{f"L{i + 1}": v for i, v in enumerate(lams)}}
+        assert tuple(value[k] for k in t.kinds) == box.breakpoints
+    for bad in ("", "H1", "HH", "EH", "EEE", "H1H1H1", "EH1H2x", "n=3"):
+        with pytest.raises(ValueError, match="unknown caustic type"):
+            caustic_type(bad)
+    with pytest.raises(ValueError, match="incompatible with n=2"):
+        caustic_component_bounds("EH1H2", Ellipsoid((0.13, 0.8, 1.0)))
+
+
 def test_caustic_params_validation(ell_mid):
     with pytest.raises(SingularLine):
         CausticParams.from_values((0.13, 0.5), ell_mid)      # hits an axis
@@ -325,7 +386,7 @@ TANGENT_AXES = [(0.16, 1.0), (1.0, 2.0), (0.13, 0.8, 1.0), (0.13, 0.45, 1.0),
 @st.composite
 def caustic_and_point(draw):
     ell = Ellipsoid(draw(st.sampled_from(TANGENT_AXES)))
-    ctype = draw(st.sampled_from(CAUSTIC_TYPES[ell.n]))
+    ctype = draw(st.sampled_from(caustic_types(ell.n)))
     lams = sorted(lo + draw(st.floats(0.01, 0.99)) * (hi - lo)
                   for lo, hi in caustic_component_bounds(ctype, ell))
     assume(all(b - a > 1e-3 * ell.a[-1] for a, b in zip(lams, lams[1:])))
@@ -350,7 +411,8 @@ def test_tangent_directions_are_tangent_lines(case):
 def test_tangent_directions_in_four_dimensions(rng):
     # the closed form holds for any n: up to 2^3 lines tangent to three caustics
     ell = Ellipsoid((0.3, 0.7, 1.3, 2.1))
-    lam = CausticParams((0.2, 0.9, 1.5), "n=3")
+    lam = CausticParams.from_values((0.2, 0.9, 1.5), ell)
+    assert lam.ctype == "EH2H3"
     counts = set()
     for _ in range(100):
         q = ell.surface_point(rng.normal(size=4))
@@ -411,7 +473,7 @@ CHORD_SHAPES = ((0.16, 1.0), (1.0, 2.0), (0.13, 0.8, 1.0), (0.05, 0.95, 1.0), (0
 def tangent_chords(draw):
     """A shape, caustic parameters (E-type lambda_1 down to 1e-7 a_max) and tangent lines."""
     ell = Ellipsoid(draw(st.sampled_from(CHORD_SHAPES)))
-    ctype = draw(st.sampled_from(CAUSTIC_TYPES[ell.n]))
+    ctype = draw(st.sampled_from(caustic_types(ell.n)))
     a_max = ell.axes[-1]
     lams = []
     for lo, hi in caustic_component_bounds(ctype, ell):

@@ -1,18 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import confocal_billiards
 from confocal_billiards import (
     CausticParams,
     Ellipsoid,
     NoSolutionInComponent,
+    PhasePoint,
     QuadratureNotConverged,
     STOCK_ELLIPSOIDS_3D,
     SingularCaustic,
+    UnsupportedDimension,
     WindingNumbers,
     count_windings,
     cuboid,
@@ -24,6 +31,7 @@ from confocal_billiards import (
     parity_violations,
     rotation_number,
     seed_point,
+    tangent_directions,
 )
 from confocal_billiards import quadrature, spectral
 from confocal_billiards.dynamics import reversor_from_key
@@ -64,6 +72,15 @@ def test_rotation_number_singular_rejection(ell2d):
     for bad in (0.16, 1.0, 1e-15):
         with pytest.raises((SingularCaustic, Exception)):
             rotation_number(CausticParams((bad,), "E" if bad < 0.16 else "H"), ell2d)
+
+
+def test_every_consecutive_caustic_pair_must_stay_apart():
+    ell = Ellipsoid((0.1, 0.3, 0.6, 1.0))
+    good = (0.2, 0.25, 0.45)
+    spectral._check_nonsingular(np.array([good]), ell)
+    for bad in ((0.2, 0.2 + 5e-13, 0.45), (0.2, 0.4, 0.4 + 5e-13)):
+        with pytest.raises(SingularCaustic, match="coinciding"):
+            spectral._omega_rows([good, bad], ell, 1e-12)
 
 
 def test_h_periodic_orbits_have_even_period(ell2d):
@@ -165,6 +182,33 @@ def test_empirical_matches_frequency_map(ell_mid):
     for lam, est in zip(lams, ests):
         om = frequency_map(lam, ell_mid).omega
         assert max(abs(a - b) for a, b in zip(om, est.omega)) < 2.0e-4
+
+
+def test_frequency_map_matches_event_counting_in_four_dimensions():
+    # criterion 7 in R^4: the n x n period-integral system of _omega_rows
+    # against turning events counted along orbits tangent to the caustics
+    ell = Ellipsoid((0.1, 0.3, 0.6, 1.0))
+    rng = np.random.default_rng(4)
+    rows = {"EH1H2": (0.4, 0.5, 0.5), "H1H1H2": (0.3, 0.7, 0.5), "EH2H3": (0.5, 0.4, 0.6),
+            "H1H2H2": (0.5, 0.3, 0.7), "H1H2H3": (0.6, 0.5, 0.4)}
+    lams, starts = [], []
+    for ctype, rel in rows.items():
+        bounds = caustic_component_bounds(ctype, ell)
+        lam = CausticParams.from_values([lo + u * (hi - lo) for u, (lo, hi) in zip(rel, bounds)], ell)
+        assert lam.ctype == ctype
+        dirs = []
+        while not dirs:
+            q = ell.surface_point(rng.normal(size=ell.dim))
+            dirs = tangent_directions(q, lam, ell)
+        lams.append(lam)
+        starts.append(PhasePoint(tuple(q), tuple(dirs[0])))
+    ests = empirical_frequency_batch(lams, ell, 40_000, starts)
+    omega, _, ok = spectral._omega_rows([lam.lambdas for lam in lams], ell, 1e-12)
+    assert ok.all()
+    assert np.max(np.abs(omega - [est.omega for est in ests])) < 5e-5
+    # inversion in R^4 would need a 3D scan
+    with pytest.raises(UnsupportedDimension):
+        invert_frequency(omega[0], "EH1H2", ell)
 
 
 def test_sampled_estimator_agrees_with_event_counting(ell_mid):
@@ -365,6 +409,28 @@ def _scan_grid(ctype, ell):
     return np.array([(x1, x2) for x1 in spectral._edge_clustered_grid(lo1, hi1)
                      for x2 in spectral._edge_clustered_grid(lo2, hi2)
                      if ctype != "H1H1" or not x2 <= x1 + margin])
+
+
+def test_edge_clustered_grid_is_sorted_without_numpy_ma():
+    # np.unique would import numpy.ma on the first inversion of a process
+    # (about 1 MB of RSS): the two halves of the grid are already disjoint and
+    # ascending, so concatenating them gives the same bits
+    for ell in ATLAS_FALLBACK_SHAPES:
+        for lo, hi in ((0.0, ell.axes[0]),) + tuple(zip(ell.axes, ell.axes[1:])):
+            for per_edge in (14, 17):
+                offs = (hi - lo) * np.geomspace(1e-7, 0.45, per_edge)
+                grid = spectral._edge_clustered_grid(lo, hi, per_edge)
+                assert np.array_equal(grid, np.unique(np.concatenate([lo + offs, hi - offs])))
+    src = str(Path(confocal_billiards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from confocal_billiards import Ellipsoid, invert_frequency\n"
+            "invert_frequency((2 / 6,), 'E', Ellipsoid((0.16, 1.0)))\n"
+            "invert_frequency((3 / 8, 2 / 8), 'H1H1', Ellipsoid((0.13, 0.8, 1.0)))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "False"
 
 
 def _full_scan_starts(omega_rows, target, ctype, ell):
