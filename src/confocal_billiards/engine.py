@@ -139,25 +139,18 @@ class SptClass:
         return minimal_winding_for_delta(self.ctype, self.delta)
 
     @cached_property
-    def reversors(self) -> tuple[tuple[Reversor, int | None], ...]:
-        """(reversor, side) of each vertex, as ``reversor_of_vertex`` gives them."""
+    def reversors(self) -> tuple[tuple[Reversor, str], ...]:
+        """(reversor, o/i tag) of each vertex, as ``reversor_of_vertex`` gives them."""
         return tuple(reversor_of_vertex(v, self.ctype) for v in self.vertex_pair)
 
-    @cached_property
+    @property
     def tags(self) -> tuple[str, ...]:
-        """Per vertex, o (outer) or i (inner) for each interval between two caustics.
-
-        Two caustics in one axis interval (H1H1) bound one oscillation
-        interval; vertexes with one reversor differ only in which of the
-        two, the lower (outer) or the upper (inner), they take.
-        """
-        paired = [lo[0] == hi[0] == "L" for lo, hi in caustic_type(self.ctype).intervals]
-        return tuple("".join("oi"[b] for b, p in zip(v.mask, paired) if p)
-                     for v in self.vertex_pair)
+        """Per vertex, o (outer) or i (inner) for each interval between two caustics."""
+        return tuple(tag for _, tag in self.reversors)
 
     @cached_property
     def class_id(self) -> str:
-        parts = sorted(r.key + tag for (r, _), tag in zip(self.reversors, self.tags))
+        parts = sorted(r.key + tag for r, tag in self.reversors)
         return f"{self.ctype}:{'+'.join(parts)}"
 
     @cached_property
@@ -167,7 +160,7 @@ class SptClass:
             return "{" + ", ".join(sorted(r.label for r, _ in self.reversors)) + "}"
         groups = ("".join(g) for g in product("oi", repeat=len(self.tags[0])))
         return "(" + " | ".join(
-            ", ".join(sorted(r.label for (r, _), tag in zip(self.reversors, self.tags) if tag == g))
+            ", ".join(sorted(r.label for r, tag in self.reversors if tag == g))
             for g in groups) + ")"
 
     def compatible_winding(self, w: WindingNumbers) -> bool:

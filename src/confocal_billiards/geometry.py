@@ -333,27 +333,22 @@ def elliptic_to_cartesian(mu, ell: Ellipsoid, signs=None, *, tol: float = 1e-9) 
 
     Each squared coordinate is the standard product formula
     ``x_j^2 = prod_i (a_j - mu_i) / prod_{i != j} (a_j - a_i)``.
-    Raises NegativeRadicand when the interleaving inequalities are
-    violated beyond ``tol`` (relative to a_max).
+    A coordinate that is 0 comes out as +0.0 whatever its sign.  Raises
+    NegativeRadicand when the interleaving inequalities are violated
+    beyond ``tol`` (relative to a_max).
     """
-    a = ell.a
-    m = np.asarray(mu, dtype=float)
-    if m.shape != (ell.dim,):
+    if np.shape(mu) != (ell.dim,):
         raise ValueError(f"expected {ell.dim} elliptic coordinates")
-    if signs is None:
-        signs = np.ones(ell.dim)
-    s = np.sign(np.asarray(signs, dtype=float))
-    s[s == 0.0] = 1.0
-    scale = float(a[-1])
-    x = np.empty(ell.dim)
-    for j in range(ell.dim):
-        num = np.prod(a[j] - m)
-        den = np.prod(a[j] - np.delete(a, j))
-        x2 = num / den
-        if x2 < -tol * scale:
+    a = ell.axes
+    m = [float(v) for v in mu]
+    s = [1.0] * ell.dim if signs is None else [-1.0 if v < 0.0 else 1.0 for v in signs]
+    x = []
+    for j, aj in enumerate(a):
+        x2 = math.prod(aj - v for v in m) / math.prod(aj - ai for ai in a if ai != aj)
+        if x2 < -tol * a[-1]:
             raise NegativeRadicand(f"x_{j + 1}^2 = {x2} < 0; corrupted elliptic point")
-        x[j] = s[j] * math.sqrt(max(x2, 0.0))
-    return x
+        x.append(s[j] * math.sqrt(x2) if x2 > 0.0 else 0.0)
+    return np.array(x)
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 
 from .dynamics import PhasePoint, _orbit
 from .errors import (
-    BilliardError,
     NoSolutionInComponent,
     QuadratureNotConverged,
     SingularCaustic,
@@ -47,7 +46,7 @@ from .geometry import (
     tangent_directions,
 )
 from .quadrature import _BASE_LEVEL, period_integrals
-from .symmetry import feasible_reversors, seed_point
+from .symmetry import all_vertexes, reversor_of_vertex, seed_point_at_vertex
 
 _TOL_ENV = "CONFOCAL_QUAD_TOL"
 
@@ -178,7 +177,8 @@ def _converged_omega(lams, ell: Ellipsoid, tol: float | None) -> tuple[np.ndarra
     return omega, err
 
 
-def _frequency_value(lam: CausticParams, ell: Ellipsoid, tol: float | None) -> FrequencyValue:
+def frequencies(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
+    """omega(lam) for any n from the n x n period-integral system."""
     omega, err = _converged_omega([lam.lambdas], ell, tol)
     return FrequencyValue(tuple(float(v) for v in omega[0]), float(err[0]))
 
@@ -187,18 +187,14 @@ def rotation_number(lam: CausticParams, ell: Ellipsoid, tol: float | None = None
     """rho(lam) for n = 1: half the ratio of the two period integrals."""
     if ell.n != 1:
         raise UnsupportedDimension("rotation number is the n=1 frequency")
-    return _frequency_value(lam, ell, tol)
+    return frequencies(lam, ell, tol)
 
 
 def frequency_map(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
     """omega(lam) for n = 2 from the 2x2 period-integral system."""
     if ell.n != 2:
         raise UnsupportedDimension("frequency map implemented for n=2")
-    return _frequency_value(lam, ell, tol)
-
-
-def frequencies(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
-    return rotation_number(lam, ell, tol) if ell.n == 1 else frequency_map(lam, ell, tol)
+    return frequencies(lam, ell, tol)
 
 
 # --------------------------------------------------------------------------
@@ -272,17 +268,11 @@ def default_tangent_start(lam: CausticParams, ell: Ellipsoid,
                           rng: np.random.Generator | None = None) -> PhasePoint:
     """Deterministic (or randomized) phase point tangent to the caustics."""
     if rng is None:
-        for r in sorted(feasible_reversors(lam.ctype, ell.n), key=lambda r: r.key):
-            if r.family != "tilde":
-                continue
-            try:
-                return seed_point(r, lam, ell, branch=0)
-            except (BilliardError, ValueError):
-                try:
-                    return seed_point(r, lam, ell, branch=0, side=1)
-                except (BilliardError, ValueError):
-                    continue
-        raise NoSolutionInComponent(f"no tilde seed available for {lam}")
+        # the tilde vertex (mask[0] = 0) of the first reversor key, outer
+        # tag first: a reversor's vertexes differ only in their tag bits
+        v = min((v for v in all_vertexes(ell.dim) if not v.mask[0]),
+                key=lambda v: (reversor_of_vertex(v, lam.ctype)[0].key, v.mask))
+        return seed_point_at_vertex(v, lam, ell)
     for _ in range(500):
         q = ell.surface_point(rng.normal(size=ell.dim))
         dirs = tangent_directions(q, lam, ell)

@@ -9,8 +9,17 @@ the first value is 0 (the vertex is an impact point) and hat otherwise
 
 Each vertex also carries a closed-form seed: a phase point on the fixed
 set of its reversor whose line is tangent to all prescribed caustics.
-There are 2^{n+1} sign branches per vertex; the branch index sets the
-free signs, and signs forced by outwardness are derived.
+One formula serves every vertex in every dimension (Jacobi/Chasles;
+Moser 1980).  At the vertex values mu the point is
+x = ``elliptic_to_cartesian(mu)`` and the direction has, in the frame
+e_i ~ x / (a - mu_i) (the unit vector of axis j where mu_i = a_j), the
+components p_i^2 = prod_k (mu_i - lam_k) / prod_{j != i} (mu_i - mu_j).
+The impact is x itself at a tilde vertex and the exit of the line
+x + t p at a hat vertex.  There are 2^{n+1} sign branches per vertex:
+bit k of the branch index sets the k-th free sign, the q-signs of the
+nonzero coordinates of x first, then the p-signs of the axis
+components, each in ascending coordinate order; the other signs are
+forced (p_0 points outward).
 """
 
 from __future__ import annotations
@@ -60,54 +69,52 @@ def all_vertexes(dim: int) -> list[CuboidVertex]:
             for k in range(2 ** dim)]
 
 
-def _classify_kinds(kinds: tuple[str, ...]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """(family, axis indices, caustic indices), all indices 0-based."""
-    family = "tilde" if kinds[0] == "0" else "hat"
-    axes = tuple(int(k[1:]) - 1 for k in kinds if k.startswith("A"))
-    lams = tuple(int(k[1:]) - 1 for k in kinds if k.startswith("L"))
-    return family, axes, lams
-
-
 def _ctype_of(lam_or_ctype) -> str:
     return getattr(lam_or_ctype, "ctype", lam_or_ctype)
 
 
-def reversor_of_vertex(v: CuboidVertex, lam_or_ctype) -> tuple[Reversor, int | None]:
-    """Reversor of a vertex plus the index of its in-vertex caustic.
+def reversor_of_vertex(v: CuboidVertex, lam_or_ctype) -> tuple[Reversor, str]:
+    """Reversor of a vertex plus its o/i tag.
 
-    The second entry is the 1-based index of the unique caustic parameter
-    among the vertex values (None when zero or both appear); for H1H1 it
-    is the inner/outer tag (1 = outer hyperboloid, 2 = inner).  Cached
-    per (vertex, caustic type).
+    The tag has one letter per oscillation interval bounded by two
+    caustics (two caustic parameters between the same pair of axes, as in
+    H1H1): o when the vertex takes the lower (outer) one, i the upper
+    (inner).  Vertexes with one reversor differ only in their tags; the
+    tag is empty for types without such intervals.  Cached per (vertex,
+    caustic type).
     """
     return _vertex_reversor(v, _ctype_of(lam_or_ctype))
 
 
 @cache
-def _vertex_reversor(v: CuboidVertex, ctype: str) -> tuple[Reversor, int | None]:
-    family, axes, lams = _classify_kinds(v.kinds(ctype))
-    side = lams[0] + 1 if len(lams) == 1 else None
-    return Reversor(family, Reflection.flipping(axes, v.dim)), side
+def _vertex_reversor(v: CuboidVertex, ctype: str) -> tuple[Reversor, str]:
+    kinds = v.kinds(ctype)
+    family = "tilde" if kinds[0] == "0" else "hat"
+    axes = [int(k[1:]) - 1 for k in kinds if k.startswith("A")]
+    tag = "".join("oi"[b] for b, (lo, hi) in zip(v.mask, caustic_type(ctype).intervals)
+                  if lo[0] == hi[0] == "L")
+    return Reversor(family, Reflection.flipping(axes, v.dim)), tag
 
 
-def vertex_of_reversor(r: Reversor, lam_or_ctype, side: int | None = None) -> CuboidVertex:
+def vertex_of_reversor(r: Reversor, lam_or_ctype, side: str | None = None) -> CuboidVertex:
     """Vertex associated to a reversor for the given caustic type.
 
-    For H1H1 the tilde-axis and hat-axis reversors own two vertexes each;
-    ``side`` (1 = outer caustic, 2 = inner) disambiguates.
+    Where a reversor owns several vertexes (H1H1 and its relatives),
+    ``side``, the o/i tag of ``reversor_of_vertex``, picks one.
     """
     ctype = _ctype_of(lam_or_ctype)
     matches = []
     for v in all_vertexes(r.sigma.dim):
-        rv, sv = reversor_of_vertex(v, ctype)
-        if rv == r and (side is None or sv == side):
+        rv, tag = reversor_of_vertex(v, ctype)
+        if rv == r and (side is None or tag == side):
             matches.append(v)
     if not matches:
-        detail = f" with side {side}" if side is not None else ""
+        detail = f" with side {side!r}" if side is not None else ""
         raise FeasibilityError(f"reversor {r.label} cannot occur for type {ctype}{detail}")
     if len(matches) > 1:
         raise FeasibilityError(
-            f"reversor {r.label} is ambiguous for type {ctype}; pass side=1 (outer) or 2 (inner)")
+            f"reversor {r.label} is ambiguous for type {ctype}; pass side, one of "
+            + ", ".join(repr(reversor_of_vertex(v, ctype)[1]) for v in matches))
     return matches[0]
 
 
@@ -191,135 +198,52 @@ def seed_point_at_vertex(v: CuboidVertex, lam: CausticParams, ell: Ellipsoid,
                          branch: int = 0) -> PhasePoint:
     """Phase point in Fix(reversor of v) whose line is tangent to all caustics.
 
-    ``branch`` selects among the 2^{n+1} sign choices; free q-signs come
-    first (ascending coordinate), then free p-signs.  Signs dictated by
-    outwardness are derived, never selectable.
+    One closed form for every vertex and dimension, evaluated at the exact
+    vertex values mu (a component at a caustic value is then exactly 0):
+    the point x = ``elliptic_to_cartesian(mu)``, the direction
+    p = sum_i s_i sqrt(p_i^2) e_i with
+    p_i^2 = prod_k (mu_i - lam_k) / prod_{j != i} (mu_i - mu_j), where e_i
+    is the unit vector of axis j if mu_i = a_j and e_i ~ x / (a - mu_i),
+    s_i = +1, otherwise.  The impact is x at a tilde vertex (mu_0 = 0) and
+    the forward exit of the line x + t p at a hat vertex.
+
+    ``branch`` selects among the 2^{n+1} sign choices: bit k sets the k-th
+    free sign, the q-signs of the coordinates x_j not fixed to 0 by an
+    axis value first (ascending j), then the p-signs of the axis
+    components (ascending j).  The other signs are forced.
     """
-    family, axes, lam_in = _classify_kinds(v.kinds(lam.ctype))
-    a = ell.a
-    lams = np.array(lam.lambdas)
-    signs = _branch_signs(branch, ell.dim)
-    box = cuboid(lam, ell)
-    if family == "tilde":
-        if len(axes) == 0:
-            q = elliptic_to_cartesian(v.values(box), ell, signs=signs)
-            p = (q / a) * math.sqrt(float(np.prod(a) / np.prod(lams)))
-            return PhasePoint(tuple(q), tuple(p))
-        if len(axes) == 1:
-            return _seed_tilde_axis(axes[0], lam_in, lams, a, signs)
-        if len(axes) == 2 and ell.dim == 3:
-            return _seed_tilde_axis_pair(axes, lams, a, signs)
-    else:
-        if len(axes) == ell.dim:
-            return _seed_hat_central(lams, a, signs)
-        if len(axes) == 1:
-            return _seed_hat_axis(axes[0], lams, a, signs)
-        if len(axes) == 2 and ell.dim == 3:
-            return _seed_hat_axis_pair(axes, lam_in, lams, a, signs)
-    raise FeasibilityError(f"no seed construction for vertex {v.mask} of type {lam.ctype}")
+    mu = v.values(cuboid(lam, ell))
+    a = ell.axes
+    signs = iter(_branch_signs(branch, ell.dim))
+    axis = [a.index(m) if m in a else None for m in mu]
+    x = elliptic_to_cartesian(
+        mu, ell, [1.0 if j in axis else next(signs) for j in range(ell.dim)]).tolist()
+    p = [0.0] * ell.dim
+    for m, j in zip(mu, axis):
+        size = math.sqrt(math.prod(m - l for l in lam.lambdas)
+                         / math.prod(m - o for o in mu if o != m))
+        if j is not None:
+            p[j] = next(signs) * size
+        elif size:
+            e = [xk / (ak - m) for xk, ak in zip(x, a)]
+            c = size / math.hypot(*e)
+            p = [pk + c * ek for pk, ek in zip(p, e)]
+    norm = math.hypot(*p)
+    p = [pk / norm for pk in p]
+    if mu[0] == 0.0:
+        return PhasePoint(tuple(x), tuple(p))
+    c2 = sum(pk * pk / ak for pk, ak in zip(p, a))
+    c1 = sum(xk * pk / ak for xk, pk, ak in zip(x, p, a))
+    c0 = sum(xk * xk / ak for xk, ak in zip(x, a)) - 1.0
+    t = (math.sqrt(c1 * c1 - c2 * c0) - c1) / c2    # c2 t^2 + 2 c1 t + c0 = 0, t > 0
+    return PhasePoint(tuple(xk + t * pk for xk, pk in zip(x, p)), tuple(p))
 
 
 def seed_point(r: Reversor, lam: CausticParams, ell: Ellipsoid,
-               branch: int = 0, side: int | None = None) -> PhasePoint:
+               branch: int = 0, side: str | None = None) -> PhasePoint:
     """Seed on Fix(r) tangent to the caustics of lam (FeasibilityError if none)."""
     v = vertex_of_reversor(r, lam.ctype, side)
     return seed_point_at_vertex(v, lam, ell, branch)
-
-
-def _seed_tilde_axis(l: int, lam_in: tuple[int, ...], lams: np.ndarray,
-                     a: np.ndarray, signs: list[float]) -> PhasePoint:
-    """Impact on the section by plane l, velocity normal to the section."""
-    dim = len(a)
-    others = [j for j in range(dim) if j != l]
-    lam_out = [lams[i] for i in range(len(lams)) if i not in lam_in]
-    assert len(lam_out) == 1
-    lk = lam_out[0]
-    lam_in_vals = [lams[i] for i in lam_in]
-    q = np.zeros(dim)
-    slot = 0
-    for m in others:
-        rest = [j for j in others if j != m]
-        num = a[m] * np.prod([a[m] - lv for lv in lam_in_vals])
-        den = np.prod([a[m] - a[j] for j in rest]) if rest else 1.0
-        q[m] = signs[slot] * math.sqrt(num / den)
-        slot += 1
-    nu = math.sqrt(lk / (np.prod(a) * np.prod(lam_in_vals)))
-    p = np.zeros(dim)
-    p[l] = signs[slot] * math.sqrt((a[l] - lk) / a[l])
-    for m in others:
-        rest = [j for j in others if j != m]
-        p[m] = nu * np.prod([a[j] for j in rest]) * q[m]
-    return PhasePoint(tuple(q), tuple(p))
-
-
-def _seed_tilde_axis_pair(axes_pair, lams: np.ndarray, a: np.ndarray,
-                          signs: list[float]) -> PhasePoint:
-    """Impact at an end of the untouched axis (3D only)."""
-    m, n = axes_pair
-    l = [j for j in range(3) if j not in (m, n)][0]
-    q = np.zeros(3)
-    q[l] = signs[0] * math.sqrt(a[l])
-    p = np.zeros(3)
-    p[l] = math.copysign(math.sqrt(lams[0] * lams[1] / (a[m] * a[n])), q[l])
-    p[m] = signs[1] * math.sqrt((a[m] - lams[0]) * (a[m] - lams[1]) / (a[m] * (a[m] - a[n])))
-    p[n] = signs[2] * math.sqrt((a[n] - lams[0]) * (a[n] - lams[1]) / (a[n] * (a[n] - a[m])))
-    return PhasePoint(tuple(q), tuple(p))
-
-
-def _seed_hat_axis(l: int, lams: np.ndarray, a: np.ndarray,
-                   signs: list[float]) -> PhasePoint:
-    """Chord orthogonal to plane l through a point of all caustics."""
-    dim = len(a)
-    others = [j for j in range(dim) if j != l]
-    q = np.zeros(dim)
-    p = np.zeros(dim)
-    slot = 0
-    for m in others:
-        rest = [j for j in others if j != m]
-        num = np.prod([a[m] - lv for lv in lams])
-        den = np.prod([a[m] - a[j] for j in rest]) if rest else 1.0
-        q[m] = signs[slot] * math.sqrt(num / den)
-        slot += 1
-    p[l] = signs[slot]
-    q[l] = math.copysign(
-        math.sqrt(a[l] * np.prod(lams) / np.prod([a[j] for j in others])), p[l])
-    return PhasePoint(tuple(q), tuple(p))
-
-
-def _seed_hat_axis_pair(axes_pair, lam_in: tuple[int, ...], lams: np.ndarray,
-                        a: np.ndarray, signs: list[float]) -> PhasePoint:
-    """Chord meeting the untouched axis orthogonally (3D only).
-
-    The caustic between a_m and a_n fixes the direction; the other one
-    (the in-vertex caustic) fixes where the chord crosses the axis.
-    """
-    m, n = axes_pair
-    l = [j for j in range(3) if j not in (m, n)][0]
-    assert len(lam_in) == 1
-    lam_vertex = lams[lam_in[0]]
-    lam_tang = lams[1 - lam_in[0]]
-    p = np.zeros(3)
-    q = np.zeros(3)
-    q[l] = signs[0] * math.sqrt(a[l] - lam_vertex)
-    p[m] = signs[1] * math.sqrt((a[m] - lam_tang) / (a[m] - a[n]))
-    p[n] = signs[2] * math.sqrt((a[n] - lam_tang) / (a[n] - a[m]))
-    scale = math.sqrt(a[m] * a[n] * lam_vertex / (a[l] * lam_tang))
-    q[m] = scale * p[m]
-    q[n] = scale * p[n]
-    return PhasePoint(tuple(q), tuple(p))
-
-
-def _seed_hat_central(lams: np.ndarray, a: np.ndarray, signs: list[float]) -> PhasePoint:
-    """Chord through the center along a common asymptotic direction."""
-    dim = len(a)
-    p = np.zeros(dim)
-    for l in range(dim):
-        rest = [j for j in range(dim) if j != l]
-        num = np.prod([a[l] - lv for lv in lams])
-        den = np.prod([a[l] - a[j] for j in rest])
-        p[l] = signs[l] * math.sqrt(num / den)
-    q = math.sqrt(float(np.prod(a) / np.prod(lams))) * p
-    return PhasePoint(tuple(q), tuple(p))
 
 
 def classify_symmetric_point(m: PhasePoint, ell: Ellipsoid,

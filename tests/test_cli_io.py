@@ -59,6 +59,26 @@ def test_freq_eval(capsys):
     assert abs(payload["omega"][0] - 0.375) < 1e-4
 
 
+def test_freq_eval_in_r4(capsys):
+    from confocal_billiards import spectral
+    code, out, _ = run_cli(capsys, "freq", "eval", "--axes", "0.1,0.3,0.6,1",
+                           "--lambdas", "0.05,0.2,0.45")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["type"] == "EH1H2"
+    omega, _, ok = spectral._omega_rows([(0.05, 0.2, 0.45)], Ellipsoid((0.1, 0.3, 0.6, 1.0)), 1e-12)
+    assert ok[0] and payload["omega"] == omega[0].tolist()
+
+
+def test_2d_documents_survive_a_json_round_trip():
+    # a -0.0 coordinate prints as -0, which a JSON reader takes for the
+    # integer 0; seeds on a coordinate hyperplane must carry +0.0
+    for cls in engine.enumerate_classes(1):
+        t = find_spt(cls, engine.STOCK_ELLIPSOID_2D)
+        text = document.dumps(document.trajectory_to_document(t, t.report))
+        assert document.dumps(json.loads(text)) == text, cls.class_id
+
+
 def test_spt_find_verify_plot(tmp_path, capsys):
     out_file = tmp_path / "spt.json"
     code, out, _ = run_cli(capsys, "spt", "find", "--class", "H1H1:R2i+R2o",

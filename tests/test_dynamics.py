@@ -51,12 +51,12 @@ def test_golden_period_4_closure(ell_mid):
     # it closes sharply
     from confocal_billiards import invert_frequency
     lam_pub = CausticParams.from_values((0.130077, 0.648376), ell_mid)
-    m = seed_point(reversor_from_key("R2", 3), lam_pub, ell_mid, side=1)
+    m = seed_point(reversor_from_key("R2", 3), lam_pub, ell_mid, side="o")
     qs, ps = iterate_orbit(m, ell_mid, 4)
     assert np.max(np.abs(qs[-1] - qs[0])) < 1e-5
     lam = invert_frequency((3 / 8, 2 / 8), "H1H1", ell_mid)
     assert np.max(np.abs(np.array(lam.lambdas) - lam_pub.lambdas)) < 1e-5
-    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side=1)
+    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side="o")
     qs, ps = iterate_orbit(m, ell_mid, 4)
     assert np.max(np.abs(qs[-1] - qs[0])) < 1e-8
     assert np.max(np.abs(ps[-1] - ps[0])) < 1e-8

@@ -83,13 +83,7 @@ CATALOG_3D = {
 
 
 def tagged_couple(cls):
-    out = set()
-    for r, side in cls.reversors:
-        tag = ""
-        if cls.ctype == "H1H1" and side is not None:
-            tag = "o" if side == 1 else "i"
-        out.add(r.key + tag)
-    return frozenset(out)
+    return frozenset(r.key + tag for r, tag in cls.reversors)
 
 
 def test_class_count_formula():
@@ -248,7 +242,7 @@ def test_find_spt_rejects_incompatible_winding(ell_flat):
 
 def test_verify_negative_control(ell_mid):
     lam = invert_frequency((3 / 8, 2 / 8), "H1H1", ell_mid)
-    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side=1)
+    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side="o")
     qs, ps = iterate_orbit(m, ell_mid, 4)
     qs2 = qs.copy()
     qs2[2] = qs2[2] + np.array([2e-4, -1e-4, 1e-4])

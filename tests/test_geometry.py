@@ -148,7 +148,7 @@ def test_caustic_of_line_3d_seed_round_trip(ell_mid):
     from confocal_billiards import seed_point
     from confocal_billiards.dynamics import reversor_from_key
     lam = CausticParams.from_values((0.130077, 0.648376), ell_mid)
-    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side=1)
+    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side="o")
     got = caustic_params_of_line(m.q_arr, m.p_arr, ell_mid)
     assert np.max(np.abs(np.array(got.lambdas) - lam.lambdas)) < 1e-10
 

@@ -230,7 +230,7 @@ def test_orbit_stays_in_cuboid(ell_mid):
 
 def test_count_windings_golden(ell_mid):
     lam = invert_frequency((3 / 8, 2 / 8), "H1H1", ell_mid)
-    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side=1)
+    m = seed_point(reversor_from_key("R2", 3), lam, ell_mid, side="o")
     qs, _ = iterate_orbit(m, ell_mid, 4)
     assert count_windings(qs, lam, ell_mid) == (4, 3, 2)
 

@@ -9,7 +9,6 @@ from confocal_billiards import (
     FeasibilityError,
     PhasePoint,
     all_vertexes,
-    caustic_params_of_line,
     dual_map,
     feasible_reversors,
     forbidden_reversors,
@@ -23,6 +22,7 @@ from confocal_billiards import (
     vertex_of_reversor,
 )
 from confocal_billiards.dynamics import all_reversors, reversor_from_key
+from confocal_billiards.geometry import caustic_params_of_lines, caustic_types
 from confocal_billiards.symmetry import CuboidVertex, symmetry_set_members, symmetry_set_residuals
 from conftest import random_phase_point
 
@@ -45,6 +45,14 @@ SAMPLE_LAMBDAS = {
     "H1H1": (0.2, 0.6),
     "EH2": (0.03, 0.97),
     "H1H2": (0.3, 0.97),
+    "EH1H2": (0.05, 0.2, 0.45),
+    "H1H1H2": (0.15, 0.25, 0.45),
+    "EH2H2": (0.05, 0.4, 0.5),
+    "H1H2H2": (0.2, 0.4, 0.5),
+    "EH1H3": (0.05, 0.2, 0.8),
+    "H1H1H3": (0.15, 0.25, 0.8),
+    "EH2H3": (0.05, 0.45, 0.8),
+    "H1H2H3": (0.2, 0.45, 0.8),
 }
 
 
@@ -95,20 +103,30 @@ def test_vertex_reversor_correspondence_3d():
     got = {}
     for ctype in ("EH1", "H1H1", "EH2", "H1H2"):
         for v in all_vertexes(3):
-            r, side = reversor_of_vertex(v, ctype)
-            got.setdefault(ctype, set()).add((r.key, side))
-    assert ("R", None) in got["H1H2"]
-    assert ("fR123", None) in got["H1H2"]
-    assert ("R2", 1) in got["H1H1"] and ("R2", 2) in got["H1H1"]
-    assert ("R12", None) in got["EH1"]
+            r, tag = reversor_of_vertex(v, ctype)
+            got.setdefault(ctype, set()).add((r.key, tag))
+    assert ("R", "") in got["H1H2"]
+    assert ("fR123", "") in got["H1H2"]
+    assert ("R2", "o") in got["H1H1"] and ("R2", "i") in got["H1H1"]
+    assert ("R12", "") in got["EH1"]
 
 
 def test_vertex_of_reversor_h1h1_needs_side():
     with pytest.raises(FeasibilityError):
         vertex_of_reversor(reversor_from_key("R2", 3), "H1H1")
-    v_out = vertex_of_reversor(reversor_from_key("R2", 3), "H1H1", side=1)
-    v_in = vertex_of_reversor(reversor_from_key("R2", 3), "H1H1", side=2)
+    v_out = vertex_of_reversor(reversor_from_key("R2", 3), "H1H1", side="o")
+    v_in = vertex_of_reversor(reversor_from_key("R2", 3), "H1H1", side="i")
     assert v_out != v_in
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vertex_of_reversor_inverts_reversor_of_vertex(n):
+    # the o/i tag reaches every vertex, also where a repeated reversor's
+    # vertexes take a second caustic (H1H1H3, EH2H2, ...)
+    for ctype in caustic_types(n):
+        for v in all_vertexes(n + 1):
+            r, tag = reversor_of_vertex(v, ctype)
+            assert vertex_of_reversor(r, ctype, side=tag) == v
 
 
 def test_membership_2d_catalog_points(ell_unit2d, rng):
@@ -203,21 +221,24 @@ def test_seed_3d_closed_forms(ell_thin):
         assert m.q[l] == pytest.approx(scale * m.p[l], rel=1e-12)
 
 
-@pytest.mark.parametrize("ctype", ["E", "H", "EH1", "H1H1", "EH2", "H1H2"])
+@pytest.mark.parametrize("ctype", list(SAMPLE_LAMBDAS))
 def test_all_seeds_all_branches(ctype):
-    ell = Ellipsoid((1.0, 2.0)) if ctype in ("E", "H") else Ellipsoid((0.13, 0.8, 1.0))
+    ell = Ellipsoid({1: (1.0, 2.0), 2: (0.13, 0.8, 1.0),
+                     3: (0.1, 0.3, 0.6, 1.0)}[len(SAMPLE_LAMBDAS[ctype])])
     lam = sample_caustic(ctype, ell)
     dim = ell.dim
     for v in all_vertexes(dim):
         r, _ = reversor_of_vertex(v, ctype)
-        for branch in range(2 ** dim):
-            m = seed_point_at_vertex(v, lam, ell, branch)
-            assert abs(ell.constraint(m.q_arr)) < 1e-12
-            assert abs(np.linalg.norm(m.p_arr) - 1.0) < 1e-13
-            assert float(ell.normal(m.q_arr) @ m.p_arr) > 0.0
-            assert symmetry_set_residual(r, m, ell) < 1e-10
-            got = caustic_params_of_line(m.q_arr, m.p_arr, ell)
-            assert np.max(np.abs(np.array(got.lambdas) - lam.lambdas)) < 1e-10
+        seeds = [seed_point_at_vertex(v, lam, ell, branch) for branch in range(2 ** dim)]
+        Q = np.array([m.q for m in seeds])
+        P = np.array([m.p for m in seeds])
+        assert np.max(np.abs(np.einsum("kj,kj->k", Q, Q / ell.a) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)) < 1e-13
+        assert np.all(np.einsum("kj,kj->k", Q / ell.a, P) > 0.0)
+        assert not np.signbit(Q[Q == 0.0]).any() and not np.signbit(P[P == 0.0]).any()
+        assert np.max(symmetry_set_residuals(r, Q, P, ell)) < 1e-10
+        got = caustic_params_of_lines(Q, P, ell)
+        assert np.max(np.abs(got - lam.lambdas)) < 1e-10
 
 
 def test_seed_feasibility_errors(ell_mid):
@@ -226,14 +247,14 @@ def test_seed_feasibility_errors(ell_mid):
         seed_point(reversor_from_key("R", 3), lam, ell_mid)
     from confocal_billiards import BranchOutOfRange
     with pytest.raises(BranchOutOfRange):
-        seed_point(reversor_from_key("R2", 3), lam, ell_mid, branch=8, side=1)
+        seed_point(reversor_from_key("R2", 3), lam, ell_mid, branch=8, side="o")
 
 
 def test_dual_consistency_of_seeds(ell_mid):
     # the dual map sends tilde fixed sets into hat fixed sets of -sigma
     from confocal_billiards.dynamics import Reversor
     lam = sample_caustic("H1H1", ell_mid)
-    for key, side in [("R2", 1), ("R2", 2), ("R3", 1)]:
+    for key, side in [("R2", "o"), ("R2", "i"), ("R3", "o")]:
         r = reversor_from_key(key, 3)
         m = seed_point(r, lam, ell_mid, side=side)
         image = dual_map(m, ell_mid)
@@ -292,12 +313,12 @@ def test_dual_row_exchange(ell_thin):
     # seed formulas of dual reversor couples exchange u_i^2 and x_i^2/a_i
     lam = CausticParams.from_values((0.133273, 0.967756), ell_thin)  # H1H2
     a = ell_thin.a
-    pairs = [("R", None, "fR123", None),
-             ("R3", 1, "fR12", 2),       # opposed vertexes swap the caustic
-             ("R2", 2, "fR13", 1),
-             ("R23", None, "fR1", None)]
-    for tilde_key, ts, hat_key, hs in pairs:
-        mt = seed_point(reversor_from_key(tilde_key, 3), lam, ell_thin, side=ts)
-        mh = seed_point(reversor_from_key(hat_key, 3), lam, ell_thin, side=hs)
+    pairs = [("R", "fR123"),
+             ("R3", "fR12"),       # opposed vertexes swap the caustic
+             ("R2", "fR13"),
+             ("R23", "fR1")]
+    for tilde_key, hat_key in pairs:
+        mt = seed_point(reversor_from_key(tilde_key, 3), lam, ell_thin)
+        mh = seed_point(reversor_from_key(hat_key, 3), lam, ell_thin)
         assert np.max(np.abs(np.array(mh.p) ** 2 - np.array(mt.q) ** 2 / a)) < 1e-12
         assert np.max(np.abs(np.array(mh.q) ** 2 / a - np.array(mt.p) ** 2)) < 1e-12
