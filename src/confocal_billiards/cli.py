@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
     p_classes = sub.add_parser("classes", parents=[], help="class catalogs")
     sub_classes = p_classes.add_subparsers(dest="classes_command", required=True)
     p_list = sub_classes.add_parser("list", help="list all classes")
-    p_list.add_argument("--dim", type=int, choices=(2, 3), required=True)
+    p_list.add_argument("--dim", type=int, choices=(2, 3, 4), required=True)
     p_list.add_argument("--type", dest="ctype", default=None)
     p_list.add_argument("--json", action="store_true")
 

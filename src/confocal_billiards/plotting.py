@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .engine import Trajectory
+from .errors import UnsupportedDimension
 from .geometry import Ellipsoid, cartesian_to_elliptic, cuboid, elliptic_to_cartesian
 
 _SQ3 = math.sqrt(3.0) / 2.0
@@ -107,6 +108,8 @@ def _svg(elements: list[str], pts_for_bbox: np.ndarray) -> str:
 def plot_projection(t: Trajectory, plane: str | None = None) -> str:
     """Render the trajectory with its outline and caustic traces as SVG."""
     ell = t.ellipsoid
+    if ell.dim > 3:
+        raise UnsupportedDimension(f"plots are drawn for 2D and 3D trajectories, not {ell.dim}D")
     if ell.dim == 3:
         plane = plane or "3d"
         if plane not in PLANES_3D:

@@ -3,13 +3,12 @@
 Trajectories sharing caustics lam are periodic exactly when the
 frequencies are rational with the winding numbers as numerators:
 
-    n = 1:  rho(lam)  = m_1 / 2 m_0
-    n = 2:  omega(lam) = (m_1, m_2) / 2 m_0
+    omega(lam) = (m_1, ..., m_n) / 2 m_0      (for n = 1 the rotation number rho)
 
-Both are built from period integrals J_k(i) of s^k / sqrt(P(s)) over the
-oscillation intervals I_i, where P(s) is the degree-(2n+1) polynomial
-with the axes and caustic parameters as roots.  Along any chord the
-elliptic coordinates obey the Abel-sum identities
+for every n >= 1.  It is built from period integrals J_k(i) of
+s^k / sqrt(P(s)) over the oscillation intervals I_i, where P(s) is the
+degree-(2n+1) polynomial with the axes and caustic parameters as roots.
+Along any chord the elliptic coordinates obey the Abel-sum identities
 
     sum_i (-1)^i eps_i mu_i^k dmu_i / sqrt(P(mu_i)) = 0,   k < n,
 
@@ -372,13 +371,14 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
                      tol_omega: float = 1e-10, quad_tol: float | None = None) -> CausticParams:
     """Caustic parameters in the given component with the given frequencies.
 
-    n = 1: bracketed bisection/secant on rho.  n = 2: an edge-clustered
-    grid is ranked by residual, every row at quadrature level 4 and, in
-    full, only the rows that within their level-4 error could rank among
-    the six best (see ``_scan_norms``); damped finite-difference Newton
-    runs from the best point and, when that stalls, from the next five in
-    lock-step, each full step in one batch with its Jacobian stencil; the
-    first to converge wins.  Iterates are clipped 1e-9 inside the component.
+    n = 1: bracketed bisection/secant on rho.  n >= 2: the product of the
+    per-axis edge-clustered grids (ordered where two caustics share an
+    interval) is ranked by residual, every row at quadrature level 4 and,
+    in full, only the rows that within their level-4 error could rank
+    among the six best (see ``_scan_norms``); damped finite-difference
+    Newton runs from the best point and, when that stalls, from the next
+    five in lock-step, each full step in one batch with its Jacobian
+    stencil; the first to converge wins.  Iterates stay 1e-9 inside.
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
@@ -386,9 +386,7 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
         raise ValueError(f"target length {len(target)} != n = {len(bounds)}")
     if ell.n == 1:
         return _invert_1d(target[0], ctype, ell, tol_omega, quad_tol)
-    if ell.n == 2:
-        return _invert_2d(np.array(target), ctype, ell, tol_omega, quad_tol)
-    raise UnsupportedDimension("inversion implemented for n <= 2")
+    return _invert_nd(np.array(target), ctype, ell, tol_omega, quad_tol)
 
 
 def _invert_1d(target: float, ctype: str, ell: Ellipsoid,
@@ -429,36 +427,36 @@ def _invert_1d(target: float, ctype: str, ell: Ellipsoid,
     raise NoSolutionInComponent(f"bisection stalled at rho residual {fx}")
 
 
-def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
+def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
                tol_omega: float, quad_tol: float | None) -> CausticParams:
-    (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
+    bounds = np.array(caustic_component_bounds(ctype, ell))
     margin = 1e-9 * ell.axes[-1]
-    ordered = (lo1, hi1) == (lo2, hi2)      # both caustics in one axis interval
-    lo_in = np.array([lo1 + margin, lo2 + margin])
-    hi_in = np.array([hi1 - margin, hi2 - margin])
+    # caustics i and i+1 in one axis interval (H1H1); by the interleaving
+    # rule no third caustic shares it, so these pairs never chain
+    shared = np.flatnonzero((bounds[1:] == bounds[:-1]).all(axis=1))
+    lo_in, hi_in = bounds[:, 0] + margin, bounds[:, 1] - margin
 
     def clip(lams):
         lams = np.minimum(np.maximum(lams, lo_in), hi_in)
-        if ordered:
-            l1, l2 = lams[..., 0], lams[..., 1]
+        for i in shared:
+            l1, l2 = lams[..., i], lams[..., i + 1]
             close = l2 - l1 < margin
             if close.any():
                 mid = 0.5 * (l1[close] + l2[close])
-                lams[close] = np.stack([mid - 0.5 * margin, mid + 0.5 * margin], axis=-1)
+                l1[close], l2[close] = mid - 0.5 * margin, mid + 0.5 * margin
         return lams
 
     def resid_rows(lams):
         omega, _, ok = _omega_rows(lams, ell, tol)
         return omega - target, ok
 
-    x1, x2 = (g.ravel() for g in np.meshgrid(_edge_clustered_grid(lo1, hi1),
-                                              _edge_clustered_grid(lo2, hi2), indexing="ij"))
-    grid = np.column_stack([x1, x2])
-    if ordered:
-        grid = grid[~(x2 <= x1 + margin)]
+    mesh = np.meshgrid(*(_edge_clustered_grid(lo, hi) for lo, hi in bounds), indexing="ij")
+    grid = np.column_stack([x.ravel() for x in mesh])
+    for i in shared:
+        grid = grid[~(grid[:, i + 1] <= grid[:, i] + margin)]
     tol = _quad_tol(quad_tol)
     norms = _scan_norms(grid, target, ell, tol)
-    order = np.lexsort((grid[:, 1], grid[:, 0], norms))[:6]   # by norm, then x1, then x2
+    order = np.lexsort((*grid.T[::-1], norms))[:6]      # by norm, then x1, x2, ...
     if not order.size or norms[order[0]] > 0.45:
         raise NoSolutionInComponent(
             f"grid scan found no candidate for omega={tuple(target)} on {ctype}")
@@ -467,12 +465,12 @@ def _invert_2d(target: np.ndarray, ctype: str, ell: Ellipsoid,
     # when it does not; the first to converge wins, as one by one
     best_norm = math.inf
     for batch in (order[:1], order[1:]):
-        lams, nrms, stuck = _newton_2d(resid_rows, clip, grid[batch], (lo1, hi1), (lo2, hi2), tol_omega)
+        lams, nrms, stuck = _newton(resid_rows, clip, grid[batch], bounds, tol_omega)
         for lam, nrm, point in zip(lams, nrms, stuck):
             if point is not None:
                 _converged_omega(point, ell, quad_tol)      # raises QuadratureNotConverged
             if nrm <= tol_omega:
-                return CausticParams((lam[0], lam[1]), ctype)
+                return CausticParams(tuple(lam), ctype)
             best_norm = min(best_norm, nrm)
     raise NoSolutionInComponent(
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
@@ -510,44 +508,42 @@ def _scan_norms(grid, target, ell: Ellipsoid, tol: float) -> np.ndarray:
         final[redo], bound[redo] = True, 0.0
 
 
-#: Central-difference points of a Newton Jacobian, around s in logistic
-#: coordinates: +h e_1, -h e_1, +h e_2, -h e_2.
+#: Central-difference step of a Newton Jacobian, in logistic coordinates.
 _JAC_H = 1e-5
-_JAC_OFFSETS = np.array([sign * _JAC_H * e for e in np.eye(2) for sign in (1.0, -1.0)])
-#: A point, then its Jacobian stencil.
-_STENCIL = np.vstack([np.zeros(2), _JAC_OFFSETS])
 #: Step fractions of the line search: the full step, then nine halvings.
 _DAMPING = 0.5 ** np.arange(10)
 
 
-def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
+def _newton(resid_rows, clip, lam0, bounds, tol_omega):
     """Damped Newton in logistic coordinates of each component interval.
 
     The frequencies vary logarithmically near the interval edges; the
     logistic substitution makes the map roughly affine there, so Newton
     can approach solutions sitting 1e-5 from an edge.
 
-    ``lam0`` is a stack of starts, run in lock-step.  ``resid_rows``
-    evaluates many points in one batch, with a per-row converged flag.
-    The starts go in one batch with their Jacobian stencils (the four
-    central-difference points around each).  Each iteration makes one
-    batch of the stencils of the starts whose last step was damped, one
-    of the full steps with the stencils they need next, and one of the
-    nine damped steps of the starts whose full step did not improve.
-    Each start takes the first step that improves and reads a stencil
-    only where a one-by-one search would evaluate it.  A start stops
-    when it converges; when no step improves (its iterate stays as it
-    was, so a retry would repeat the same Jacobian and the same search);
-    when its Jacobian is singular; after 60 iterations; or where a
-    one-by-one search would have met an unconverged point.  The starts
-    after the first that converged stop too: a one-by-one search would
-    not have reached them.
+    ``lam0`` is a stack of starts (K, n), run in lock-step, and ``bounds``
+    the (n, 2) component intervals.  ``resid_rows`` evaluates many points
+    in one batch, with a per-row converged flag.  The starts go in one
+    batch with their Jacobian stencils (the 2n central-difference points
+    +-h e_j around each).  Each iteration makes one batch of the stencils
+    of the starts whose last step was damped, one of the full steps with
+    the stencils they need next, and one of the nine damped steps of the
+    starts whose full step did not improve.  Each start takes the first
+    step that improves and reads a stencil only where a one-by-one search
+    would evaluate it.  A start stops when it converges; when no step
+    improves (its iterate stays as it was, so a retry would repeat the
+    same Jacobian and the same search); when its Jacobian is singular;
+    after 60 iterations; or where a one-by-one search would have met an
+    unconverged point.  The starts after the first that converged stop
+    too: a one-by-one search would not have reached them.
 
-    Returns the last iterate (K, 2) and residual norm of every start, and
+    Returns the last iterate (K, n) and residual norm of every start, and
     for each start that unconverged point, or None.
     """
-    los = np.array([b1[0], b2[0]])
-    widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
+    n = len(bounds)
+    offsets = np.array([sign * _JAC_H * e for e in np.eye(n) for sign in (1.0, -1.0)])
+    stencil = np.vstack([np.zeros(n), offsets])       # a point, then its Jacobian stencil
+    los, widths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
 
     def to_lam(s):
         return clip(los + widths / (1.0 + np.exp(-s)))
@@ -555,17 +551,17 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
     def norms(r, ok):
         return np.where(ok, np.max(np.abs(r), axis=-1), math.inf)
 
-    def batch(s_pts, offsets):
+    def batch(s_pts, deltas):
         # every point is clipped 1e-9 a_max inside the component, so a
         # stencil that goes unused still cannot trip _check_nonsingular,
         # whose guard is 1e-12 a_max
-        pts = to_lam(s_pts[:, None] + offsets)
-        rr, okk = resid_rows(pts.reshape(-1, 2))
+        pts = to_lam(s_pts[:, None] + deltas)
+        rr, okk = resid_rows(pts.reshape(-1, n))
         return pts, rr.reshape(pts.shape), okk.reshape(pts.shape[:2])
 
     u = np.clip((lam0 - los) / widths, 1e-12, 1.0 - 1e-12)
     s = np.log(u / (1.0 - u))
-    pts, rr, okk = batch(s, _STENCIL)
+    pts, rr, okk = batch(s, stencil)
     r, ok, jac_pts, jac_r, jac_ok = rr[:, 0], okk[:, 0], pts[:, 1:], rr[:, 1:], okk[:, 1:]
     nrm = norms(r, ok)
     stuck = [None if good else to_lam(s[k]) for k, good in enumerate(ok)]
@@ -580,13 +576,13 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
             break
         fresh = act[~has_jac[act]]
         if fresh.size:
-            jac_pts[fresh], jac_r[fresh], jac_ok[fresh] = batch(s[fresh], _JAC_OFFSETS)
+            jac_pts[fresh], jac_r[fresh], jac_ok[fresh] = batch(s[fresh], offsets)
         pts, rp, ok = jac_pts[act], jac_r[act], jac_ok[act]
-        jac = np.stack([rp[:, 0] - rp[:, 1], rp[:, 2] - rp[:, 3]], axis=2) / (2.0 * _JAC_H)
+        jac = np.swapaxes(rp[:, 0::2] - rp[:, 1::2], 1, 2) / (2.0 * _JAC_H)
         good = ok.all(axis=1)
         for k in np.flatnonzero(~good):
             stuck[act[k]] = pts[k, np.argmin(ok[k])]
-        step = np.zeros((len(act), 2))
+        step = np.zeros((len(act), n))
         for k in np.flatnonzero(good):
             try:
                 step[k] = np.linalg.solve(jac[k], -r[act[k]])
@@ -598,7 +594,7 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
             continue
         cands = s[act, None] + _DAMPING[:, None] * step[:, None]
         lam_c = to_lam(cands)
-        pts_c, rcs, okc = batch(cands[:, 0], _STENCIL)
+        pts_c, rcs, okc = batch(cands[:, 0], stencil)
         rc, ok = rcs[:, 0], okc[:, 0]
         nc = norms(rc, ok)
         take = nc < nrm[act]
@@ -611,8 +607,8 @@ def _newton_2d(resid_rows, clip, lam0, b1, b2, tol_omega):
         damp = np.flatnonzero(ok & ~take)
         if not damp.size:
             continue
-        rest, ok_rest = resid_rows(lam_c[damp, 1:].reshape(-1, 2))
-        rest, ok_rest = rest.reshape(-1, 9, 2), ok_rest.reshape(-1, 9)
+        rest, ok_rest = resid_rows(lam_c[damp, 1:].reshape(-1, n))
+        rest, ok_rest = rest.reshape(-1, 9, n), ok_rest.reshape(-1, 9)
         n_rest = norms(rest, ok_rest)
         for j, k in enumerate(damp):
             i = act[k]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from confocal_billiards import cli, document, plotting
-from confocal_billiards import Ellipsoid, WindingNumbers, class_by_id, engine, find_spt
+from confocal_billiards import (CausticParams, Ellipsoid, WindingNumbers, class_by_id, engine,
+                                find_spt)
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,9 @@ def test_classes_list_counts(capsys):
     code, out, _ = run_cli(capsys, "classes", "list", "--dim", "2")
     rows = [line for line in out.splitlines() if not line.startswith("#")]
     assert code == 0 and len(rows) == 12
+    code, out, _ = run_cli(capsys, "classes", "list", "--dim", "4")
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and len(rows) == 960
 
 
 def test_classes_list_json_filter(capsys):
@@ -102,6 +106,36 @@ def test_spt_find_verify_plot(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "plot", str(out_file),
                              "--plane", plane, "--out", str(svg_file))
         assert code == 0
+
+
+def test_spt_find_verify_and_freq_invert_in_r4(tmp_path, capsys):
+    out_file = tmp_path / "r4.json"
+    code, _, _ = run_cli(capsys, "spt", "find", "--class", "EH1H2:R123+R13",
+                         "--axes", "0.1,0.3,0.6,1", "--out", str(out_file))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(out_file))
+    assert code == 0 and json.loads(out)["winding_counts"] == [12, 8, 6, 4]
+    code, out, _ = run_cli(capsys, "freq", "invert", "--axes", "0.1,0.3,0.6,1",
+                           "--type", "EH1H2", "--winding", "12,8,6,4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["type"] == "EH1H2"
+    assert np.max(np.abs(np.subtract(payload["omega"], payload["target"]))) <= 1e-10
+
+
+def test_plot_refuses_r4_documents(tmp_path, capsys):
+    # no 4D projection: plot names the dimensions it draws, whatever the plane
+    # (the caustics are given, so that the document does not need an inversion)
+    lam = CausticParams((0.09800470920189748, 0.30762083234585, 0.8115169501464234), "EH2H3")
+    t = find_spt(class_by_id("EH2H3:R1+R13", 3), Ellipsoid((0.1, 0.3, 0.6, 1.0)), lam=lam)
+    doc, svg = tmp_path / "r4.json", tmp_path / "r4.svg"
+    document.save_trajectory(t, str(doc), t.report)
+    for plane in ((), ("--plane", "pi1"), ("--plane", "cart")):
+        code, out, err = run_cli(capsys, "plot", str(doc), *plane, "--out", str(svg))
+        payload = json.loads(err)
+        assert code == 2 and out == "" and payload["error"] == "UnsupportedDimension"
+        assert "2D and 3D" in payload["message"]
+    assert not svg.exists()
 
 
 def test_plot_2d_modes(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from confocal_billiards import (
+    Ellipsoid,
     FeasibilityError,
     PhasePoint,
     WindingNumbers,
@@ -18,8 +21,10 @@ from confocal_billiards import (
     verify_trajectory,
     vertex_delta_of_kind,
 )
+from confocal_billiards import document
 from confocal_billiards.dynamics import reversor_from_key
 from confocal_billiards.engine import Trajectory
+from confocal_billiards.geometry import caustic_types
 from confocal_billiards.errors import QuadratureNotConverged, SingularCaustic
 from confocal_billiards.symmetry import symmetry_set_contains
 
@@ -220,6 +225,28 @@ def test_find_spt_2d_triangle(ell2d):
     assert abs(q0[1]) < 1e-9
     chords = np.diff(traj.impacts, axis=0)
     assert any(abs(c[0]) < 1e-8 for c in chords)
+
+
+#: One class per caustic type of R^4.
+R4_CLASSES = ("EH1H2:R123+R13", "H1H1H2:R23o+R3o", "EH2H2:R13i+R13o", "H1H2H2:R3i+R3o",
+              "EH1H3:R12+R13", "H1H1H3:R2o+R3o", "EH2H3:R1+R13", "H1H2H3:R+R3")
+
+
+def test_find_spt_in_four_dimensions():
+    # the n-dimensional inverter gives the caustics of every R^4 type; each
+    # orbit closes with the minimal winding, meets both reversors' sets, and
+    # its document re-dumps to the same bytes (a -0 would not)
+    ell = Ellipsoid((0.1, 0.3, 0.6, 1.0))
+    assert [cid.split(":")[0] for cid in R4_CLASSES] == list(caustic_types(3))
+    for cid in R4_CLASSES:
+        cls = class_by_id(cid, 3)
+        traj = find_spt(cls, ell)
+        rep = verify_trajectory(traj)
+        assert rep.passed and traj.class_id == cid, cid
+        assert rep.winding_counts == cls.minimal_winding.m, cid
+        assert set(rep.memberships) == {r.key for r, _ in cls.reversors}, cid
+        text = document.dumps(document.trajectory_to_document(traj, traj.report))
+        assert document.dumps(json.loads(text)) == text, cid
 
 
 def test_caustic_parameters_are_python_floats(ell2d, ell_mid, ell_thin):

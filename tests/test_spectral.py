@@ -19,7 +19,6 @@ from confocal_billiards import (
     QuadratureNotConverged,
     STOCK_ELLIPSOIDS_3D,
     SingularCaustic,
-    UnsupportedDimension,
     WindingNumbers,
     count_windings,
     cuboid,
@@ -206,9 +205,9 @@ def test_frequency_map_matches_event_counting_in_four_dimensions():
     omega, _, ok = spectral._omega_rows([lam.lambdas for lam in lams], ell, 1e-12)
     assert ok.all()
     assert np.max(np.abs(omega - [est.omega for est in ests])) < 5e-5
-    # inversion in R^4 would need a 3D scan
-    with pytest.raises(UnsupportedDimension):
-        invert_frequency(omega[0], "EH1H2", ell)
+    # the n-dimensional scan and Newton invert in R^4 too
+    lam = invert_frequency(omega[0], "EH1H2", ell)
+    assert np.max(np.abs(np.subtract(lam.lambdas, lams[0].lambdas))) < 1e-8
 
 
 def test_sampled_estimator_agrees_with_event_counting(ell_mid):
@@ -380,10 +379,10 @@ def _count_omega_rows(monkeypatch) -> list[tuple[str, int]]:
     """Patch ``spectral._omega_rows`` to log the stage and row count of every call.
 
     The stage is "level 4" for a call stopped at quadrature level 4,
-    "newton" for a call inside ``_newton_2d``, and "full" otherwise.
+    "newton" for a call inside ``_newton``, and "full" otherwise.
     """
     calls, inside = [], []
-    original, newton = spectral._omega_rows, spectral._newton_2d
+    original, newton = spectral._omega_rows, spectral._newton
 
     def counting(lams, ell, tol, **kw):
         level4 = kw.get("max_level") == quadrature._BASE_LEVEL + 1
@@ -398,7 +397,7 @@ def _count_omega_rows(monkeypatch) -> list[tuple[str, int]]:
             inside.pop()
 
     monkeypatch.setattr(spectral, "_omega_rows", counting)
-    monkeypatch.setattr(spectral, "_newton_2d", wrapped)
+    monkeypatch.setattr(spectral, "_newton", wrapped)
     return calls
 
 
@@ -445,11 +444,11 @@ def _logged_starts(monkeypatch, target, ctype, ell):
     """The Newton starts of an inversion, batch by batch; Newton stops at once."""
     batches = []
 
-    def newton(resid_rows, clip, lam0, b1, b2, tol_omega):
+    def newton(resid_rows, clip, lam0, bounds, tol_omega):
         batches.append([tuple(row) for row in lam0.tolist()])
         return lam0, [math.inf] * len(lam0), [None] * len(lam0)
 
-    monkeypatch.setattr(spectral, "_newton_2d", newton)
+    monkeypatch.setattr(spectral, "_newton", newton)
     with pytest.raises(NoSolutionInComponent):
         invert_frequency(target, ctype, ell)
     return batches
@@ -547,27 +546,28 @@ class _Unconverged(Exception):
     """A one-point evaluation met an unconverged quadrature row."""
 
 
-def _newton_one_point(resid_rows, clip, lam0, b1, b2, tol_omega):
+def _newton_one_point(resid_rows, clip, lam0, bounds, tol_omega):
     """Reference Newton: start after start, every point on its own.
 
     Stops after the first start that converges or meets an unconverged
     point; the starts after it keep their start point and an infinite
     norm, which the caller never reads.  Same return as
-    ``spectral._newton_2d``: the last iterates, their residual norms, and
+    ``spectral._newton``: the last iterates, their residual norms, and
     each start's unconverged point or None.
     """
     lams, nrms, stuck = np.array(lam0, dtype=float), [math.inf] * len(lam0), [None] * len(lam0)
     for k, lam in enumerate(lam0):
-        lams[k], nrms[k], stuck[k] = _one_point_search(resid_rows, clip, lam, b1, b2, tol_omega)
+        lams[k], nrms[k], stuck[k] = _one_point_search(resid_rows, clip, lam, bounds, tol_omega)
         if nrms[k] <= tol_omega or stuck[k] is not None:
             break
     return lams, nrms, stuck
 
 
-def _one_point_search(resid_rows, clip, lam0, b1, b2, tol_omega):
+def _one_point_search(resid_rows, clip, lam0, bounds, tol_omega):
     """One start, three retries on a stall; stops at an unconverged point."""
-    los = np.array([b1[0], b2[0]])
-    widths = np.array([b1[1] - b1[0], b2[1] - b2[0]])
+    n = len(bounds)
+    los = np.array([lo for lo, _ in bounds])
+    widths = np.array([hi - lo for lo, hi in bounds])
 
     def to_lam(s):
         return clip(los + widths / (1.0 + np.exp(-s)))
@@ -588,9 +588,9 @@ def _one_point_search(resid_rows, clip, lam0, b1, b2, tol_omega):
             if nrm <= tol_omega:
                 break
             h = 1e-5
-            jac = np.empty((2, 2))
-            for j in range(2):
-                dp = np.zeros(2)
+            jac = np.empty((n, n))
+            for j in range(n):
+                dp = np.zeros(n)
                 dp[j] = h
                 jac[:, j] = (resid(to_lam(s + dp)) - resid(to_lam(s - dp))) / (2.0 * h)
             try:
@@ -630,7 +630,7 @@ ALL_STALL = ("H1H2", (0.13, 0.45, 1.0), WindingNumbers((8, 6, 2)).target())
 
 
 def _count_newton_calls(monkeypatch, newton) -> list[int]:
-    """Install ``newton`` as ``_newton_2d``; log the _omega_rows calls made inside it."""
+    """Install ``newton`` as ``_newton``; log the _omega_rows calls made inside it."""
     calls, inside = [], []
     rows = spectral._omega_rows
 
@@ -647,7 +647,7 @@ def _count_newton_calls(monkeypatch, newton) -> list[int]:
             inside.pop()
 
     monkeypatch.setattr(spectral, "_omega_rows", counting)
-    monkeypatch.setattr(spectral, "_newton_2d", wrapped)
+    monkeypatch.setattr(spectral, "_newton", wrapped)
     return calls
 
 
@@ -658,7 +658,7 @@ def _check_one_point_match(monkeypatch, target, ctype, ell, ratio):
     single-row call (a point goes with its Jacobian stencil) and
     ``ratio`` x fewer calls in all.
     """
-    newton = spectral._newton_2d
+    newton = spectral._newton
     batched_calls = _count_newton_calls(monkeypatch, newton)
     batched = _inversion_outcome(target, ctype, ell)
     one_point_calls = _count_newton_calls(monkeypatch, _newton_one_point)
@@ -671,11 +671,15 @@ def _check_one_point_match(monkeypatch, target, ctype, ell, ratio):
     ("EH2", (5, 4, 2), (0.2, 0.3969, 1.0)),     # golden row: the first start converges
     ("H1H2", (8, 6, 2), (0.13, 0.45, 1.0)),     # every start stalls
     ("EH2", (8, 4, 2), (0.05, 0.95, 1.0)),      # starts improve, then stall
+    # R^4, where the first start converges
+    ("EH1H2", (12, 8, 6, 4), (0.1, 0.3, 0.6, 1.0)),
+    ("H1H1H2", (12, 8, 6, 4), (0.1, 0.3, 0.6, 1.0)),     # an ordered pair
+    ("H1H2H3", (12, 8, 6, 4), (0.1, 0.3, 0.6, 1.0)),
 ])
 def test_batched_newton_matches_one_point_search(monkeypatch, ctype, m, axes):
-    # where the best start converges, the saving is its Jacobian (four
+    # where the best start converges, the saving is its Jacobian (2n
     # points in one call) and line search; stalls also run five in one
-    ratio = 2 if m == (5, 4, 2) else 8
+    ratio = 5 if len(m) == 4 else 2 if m == (5, 4, 2) else 8
     _check_one_point_match(monkeypatch, WindingNumbers(m).target(), ctype, Ellipsoid(axes), ratio)
 
 
@@ -702,7 +706,7 @@ def test_speculative_stencils_match_one_point_search(case):
     target, ctype, ell = case
     batched = _inversion_outcome(target, ctype, ell)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_newton_2d", _newton_one_point)
+        mp.setattr(spectral, "_newton", _newton_one_point)
         assert _inversion_outcome(target, ctype, ell) == batched
 
 
@@ -724,14 +728,14 @@ def test_lazy_scan_starts_match_full_scan(case):
 def test_second_start_wins_after_the_best_stalls(monkeypatch, case):
     ctype, axes, target = case
     runs = []
-    newton = spectral._newton_2d
+    newton = spectral._newton
 
     def logging(*args):
         out = newton(*args)
         runs.append(out[1])
         return out
 
-    monkeypatch.setattr(spectral, "_newton_2d", logging)
+    monkeypatch.setattr(spectral, "_newton", logging)
     invert_frequency(target, ctype, Ellipsoid(axes))
     assert [len(nrms) for nrms in runs] == [1, 5]
     assert runs[0][0] > 1e-10 and runs[1][0] <= 1e-10
@@ -746,7 +750,7 @@ def test_unconverged_point_of_a_later_start(monkeypatch, case, converges):
     ctype, axes, target = case
     ell = Ellipsoid(axes)
     clean = _inversion_outcome(target, ctype, ell)
-    rows, newton = spectral._omega_rows, spectral._newton_2d
+    rows, newton = spectral._omega_rows, spectral._newton
     poisoned = []
 
     def omega_rows(lams, ell, tol, **kw):
@@ -766,7 +770,7 @@ def test_unconverged_point_of_a_later_start(monkeypatch, case, converges):
     outcomes = []
     for impl in (newton, _newton_one_point):
         poisoned.clear()
-        monkeypatch.setattr(spectral, "_newton_2d", poisoning(impl))
+        monkeypatch.setattr(spectral, "_newton", poisoning(impl))
         outcomes.append(_inversion_outcome(target, ctype, ell))
     assert outcomes[0] == outcomes[1]
     if converges:
@@ -789,10 +793,10 @@ def test_singular_jacobian_stops_only_its_start():
         return lams
 
     starts = np.array([[0.9, 0.5], [0.2, 0.5]])
-    b = (0.0, 1.0)
-    lams, nrms, stuck = spectral._newton_2d(resid_rows, clip, starts, b, b, 1e-12)
+    b = np.array([(0.0, 1.0), (0.0, 1.0)])
+    lams, nrms, stuck = spectral._newton(resid_rows, clip, starts, b, 1e-12)
     assert stuck == [None, None]
     assert nrms[0] == 0.25 and np.allclose(lams[0], starts[0], rtol=0.0, atol=1e-15)
-    assert nrms[0] == _newton_one_point(resid_rows, clip, starts[:1], b, b, 1e-12)[1][0]
-    alone = spectral._newton_2d(resid_rows, clip, starts[1:], b, b, 1e-12)
+    assert nrms[0] == _newton_one_point(resid_rows, clip, starts[:1], b, 1e-12)[1][0]
+    alone = spectral._newton(resid_rows, clip, starts[1:], b, 1e-12)
     assert np.array_equal(lams[1], alone[0][0]) and nrms[1] == alone[1][0] <= 1e-12
