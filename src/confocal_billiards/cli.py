@@ -3,8 +3,9 @@
 Subcommands: ``classes list``, ``freq eval|invert``, ``spt find``,
 ``spt atlas``, ``verify``, ``plot``.  Output is deterministic for fixed
 flags.  Exit codes: 0 success, 1 usage error, 2 numeric failure
-(no solution, singular input, ...), 3 verification failure.  Errors go
-to stderr as one-line JSON objects.
+(no solution, singular input, ...), 3 verification failure, 141 stdout
+closed by its reader (nothing is written to stderr then).  Errors go to
+stderr as one-line JSON objects.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .geometry import CausticParams, Ellipsoid, caustic_types
 from .spectral import WindingNumbers, frequencies, invert_frequency
 
 USAGE_EXIT, NUMERIC_EXIT, VERIFY_EXIT = 1, 2, 3
+#: 128 + SIGPIPE, as a shell reports a process killed by a closed pipe
+PIPE_EXIT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,6 +176,10 @@ def _cmd_spt_atlas(args) -> int:
     result = minimal_atlas(**kwargs)
     os.makedirs(args.out, exist_ok=True)
     index = []
+
+    def rejected(cid):
+        return [{"axes": list(axes), "error": msg} for axes, msg in result.rejected.get(cid, [])]
+
     for traj in result.trajectories:
         name = traj.class_id.replace(":", "-").replace(".", "") + ".json"
         report = traj.report or verify_trajectory(traj)
@@ -180,9 +187,11 @@ def _cmd_spt_atlas(args) -> int:
         index.append({"id": traj.class_id, "file": name,
                       "period": traj.period,
                       "axes": list(traj.ellipsoid.axes),
-                      "closure_residual": traj.closure_residual})
+                      "closure_residual": traj.closure_residual,
+                      "rejected": rejected(traj.class_id)})
     summary = {"classes": len(result.trajectories),
-               "failures": [{"id": cid, "error": msg} for cid, msg in result.failures],
+               "failures": [{"id": cid, "error": msg, "rejected": rejected(cid)}
+                            for cid, msg in result.failures],
                "index": index}
     document.write_atomic(os.path.join(args.out, "summary.json"),
                           json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -222,6 +231,17 @@ def main(argv=None) -> int:
         if args.command == "plot":
             return _cmd_plot(args)
         raise _UsageError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        # the reader closed stdout: point its descriptor at the null device,
+        # so that the flush at exit cannot raise again; no SIGPIPE handler,
+        # since main also runs inside other programs
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        except (OSError, ValueError):       # a stdout without a descriptor
+            pass
+        return PIPE_EXIT
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT

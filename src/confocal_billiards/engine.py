@@ -62,14 +62,18 @@ STOCK_ELLIPSOID_2D = Ellipsoid((0.16, 1.0))
 #: How an inversion can fail for one class without touching the others.
 _INVERSION_FAILURES = (NoSolutionInComponent, QuadratureNotConverged, SingularCaustic)
 
-#: Extra nearly-degenerate shapes: a few minimal winding targets fall
-#: outside the frequency range of every stock shape, but flat or
-#: segment-like ellipsoids stretch the reachable frequencies far enough.
-ATLAS_FALLBACK_SHAPES = STOCK_ELLIPSOIDS_3D + (
+#: Shapes ``minimal_atlas`` tries after a class's two primary shapes, in
+#: order.  The 24 EH2 and H1H2 classes of minimal winding (8,4,2), (8,6,2)
+#: or (10,6,2) lie outside the frequency image of every stock shape, and
+#: the first stretched shape reaches them all; every other 3D class
+#: succeeds on a primary shape (EH1 and H1H1 on the flat one, EH2 and
+#: H1H2 on the thin one).  So the stretched shapes come first: such a
+#: class then fails on its two primary shapes only.
+ATLAS_FALLBACK_SHAPES = (
     Ellipsoid((0.05, 0.2, 1.0)),
     Ellipsoid((0.1, 0.2, 1.0)),
     Ellipsoid((0.02, 0.1, 1.0)),
-)
+) + STOCK_ELLIPSOIDS_3D
 
 
 def class_count(n: int) -> int:
@@ -486,6 +490,9 @@ def find_spt(cls: SptClass, ell: Ellipsoid, w: WindingNumbers | None = None, *,
 class AtlasResult:
     trajectories: list[Trajectory]
     failures: list[tuple[str, str]]
+    #: class id -> [(axes, "ErrorName: message")] of each shape that failed,
+    #: in the order tried (empty for a class built on its first shape)
+    rejected: dict[str, list[tuple[tuple[float, ...], str]]] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -501,11 +508,17 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
 
     Flat shapes serve the EH1/H1H1 classes and thin ("segment-like")
     shapes the EH2/H1H2 ones; when the frequency map misses the target on
-    the preferred shape, the other supplied shapes are tried in order.
-    Per-class failures are collected, never raised.
+    the preferred shape, the other supplied shapes are tried in order
+    (by default the stretched shapes, then the stock ones; see
+    ``ATLAS_FALLBACK_SHAPES``).  A shape is rejected when its inversion
+    fails, after ``invert_frequency``'s rescue from the scan's other local
+    minima too, or when verification fails; ``rejected`` records each
+    such shape with its error.  Per-class failures are collected, never
+    raised.
     """
     trajectories: list[Trajectory] = []
     failures: list[tuple[str, str]] = []
+    rejected: dict[str, list[tuple[tuple[float, ...], str]]] = {}
     # (axes, ctype, winding) -> caustic parameters, or the failed inversion's
     # exception: many classes share a key, and a repeated miss is re-raised.
     lam_cache: dict[tuple, CausticParams | BilliardError] = {}
@@ -532,6 +545,7 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
         for cls in enumerate_classes(n):
             w = cls.minimal_winding
             last_err = None
+            misses = rejected[cls.class_id] = []
             for shape in shapes_for(cls):
                 try:
                     traj = find_spt(cls, shape, w, branch=branch, lam=inverted(shape, cls, w))
@@ -540,6 +554,7 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
                     break
                 except _INVERSION_FAILURES + (VerificationFailed, FeasibilityError) as exc:
                     last_err = exc
+                    misses.append((shape.axes, f"{type(exc).__name__}: {exc}"))
             if last_err is not None:
                 failures.append((cls.class_id, str(last_err)))
-    return AtlasResult(trajectories, failures)
+    return AtlasResult(trajectories, failures, rejected)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -378,7 +379,13 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
     among the six best (see ``_scan_norms``); damped finite-difference
     Newton runs from the best point and, when that stalls, from the next
     five in lock-step, each full step in one batch with its Jacobian
-    stencil; the first to converge wins.  Iterates stay 1e-9 inside.
+    stencil; the first to converge wins.  When all six stall, Newton
+    runs once more from the scan's other local minima (``_local_minima``),
+    ordered like the starts, in one lock-step batch: there a start that
+    meets an unconverged point counts as stalled, the first to converge
+    wins, and if none does, NoSolutionInComponent names the six starts'
+    best residual.  An inversion that succeeds from the six never reaches
+    this rescue.  Iterates stay 1e-9 inside.
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
@@ -452,8 +459,10 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
 
     mesh = np.meshgrid(*(_edge_clustered_grid(lo, hi) for lo, hi in bounds), indexing="ij")
     grid = np.column_stack([x.ravel() for x in mesh])
+    cells = np.arange(len(grid))        # each row's cell in the product grid
     for i in shared:
-        grid = grid[~(grid[:, i + 1] <= grid[:, i] + margin)]
+        keep = ~(grid[:, i + 1] <= grid[:, i] + margin)
+        grid, cells = grid[keep], cells[keep]
     tol = _quad_tol(quad_tol)
     norms = _scan_norms(grid, target, ell, tol)
     order = np.lexsort((*grid.T[::-1], norms))[:6]      # by norm, then x1, x2, ...
@@ -472,6 +481,18 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
             if nrm <= tol_omega:
                 return CausticParams(tuple(lam), ctype)
             best_norm = min(best_norm, nrm)
+
+    # every start stalled: Newton from the scan's other local minima, in
+    # one lock-step batch, where a start that meets an unconverged point
+    # counts as stalled; the first to converge wins
+    rescue = _local_minima(norms, cells, mesh[0].shape)
+    rescue = rescue[~np.isin(rescue, order)]
+    if rescue.size:
+        rescue = rescue[np.lexsort((*grid[rescue].T[::-1], norms[rescue]))]
+        lams, nrms, _ = _newton(resid_rows, clip, grid[rescue], bounds, tol_omega)
+        for lam, nrm in zip(lams, nrms):
+            if nrm <= tol_omega:
+                return CausticParams(tuple(lam), ctype)
     raise NoSolutionInComponent(
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
 
@@ -506,6 +527,24 @@ def _scan_norms(grid, target, ell: Ellipsoid, tol: float) -> np.ndarray:
         omega, _, ok = _omega_rows(grid[redo], ell, tol)
         norms[redo] = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
         final[redo], bound[redo] = True, 0.0
+
+
+def _local_minima(norms, cells, shape) -> np.ndarray:
+    """Scan rows whose finite norm is at most that of each grid neighbour.
+
+    ``cells`` places each row in the product grid of the given shape; a
+    row's neighbours are the 3^n - 1 cells around it, and a cell without
+    a row (dropped by the ordered filter) or outside the grid counts as
+    +inf.  Returns row indices, ascending.
+    """
+    full = np.full(shape, math.inf)
+    full.flat[cells] = norms
+    padded = np.pad(full, 1, constant_values=math.inf)
+    is_min = np.isfinite(full)
+    for off in product((-1, 0, 1), repeat=len(shape)):
+        if any(off):
+            is_min &= full <= padded[tuple(slice(1 + o, 1 + o + k) for o, k in zip(off, shape))]
+    return np.flatnonzero(is_min.flat[cells])
 
 
 #: Central-difference step of a Newton Jacobian, in logistic coordinates.

@@ -360,3 +360,40 @@ def test_valid_document_round_trips(triangle_text, tmp_path):
     again = document.trajectory_to_document(traj)
     again["symmetry_report"] = doc["symmetry_report"]
     assert document.dumps(again) == triangle_text
+
+
+def test_closed_stdout_exits_141_silently():
+    # the reader takes one line and closes the pipe; the 960-class JSON
+    # listing (about 270 KB) outgrows the pipe's buffer, so a write fails
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import confocal_billiards
+    src = str(Path(confocal_billiards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "confocal_billiards.cli", "classes", "list",
+                           "--dim", "4", "--json"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == cli.PIPE_EXIT == 141
+    assert err == b""
+
+
+def test_atlas_summary_lists_rejected_shapes(tmp_path, capsys, monkeypatch):
+    # each index and failures entry carries the shapes its class rejected,
+    # with their errors, in the order tried
+    from confocal_billiards.engine import AtlasResult
+    traj = find_spt(class_by_id("E:Rx+fRx", 1), engine.STOCK_ELLIPSOID_2D)
+    miss = ((0.13, 0.45, 1.0), "NoSolutionInComponent: Newton stalled")
+    result = AtlasResult([traj], [("EH2:R1+R13", "Newton stalled")],
+                         {"E:Rx+fRx": [], "EH2:R1+R13": [miss, miss]})
+    monkeypatch.setattr(cli, "minimal_atlas", lambda **kw: result)
+    code, _, _ = run_cli(capsys, "spt", "atlas", "--out", str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == 3
+    assert [e["rejected"] for e in summary["index"]] == [[]]
+    assert summary["failures"] == [{"id": "EH2:R1+R13", "error": "Newton stalled", "rejected": [
+        {"axes": [0.13, 0.45, 1.0], "error": "NoSolutionInComponent: Newton stalled"}] * 2}]

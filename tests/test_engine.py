@@ -445,3 +445,40 @@ def test_atlas_collects_numeric_inversion_failures(monkeypatch, error):
     assert len(hit) == 2 and max(calls.values()) == 1        # the failure is cached
     assert [t.class_id for t in result.trajectories] == [
         c.class_id for c in classes if c.class_id not in hit]
+
+
+#: The minimal windings of the EH2 and H1H2 classes that no stock shape reaches.
+FALLBACK_KEYS = [(ctype, m) for ctype in ("EH2", "H1H2")
+                 for m in ((8, 4, 2), (8, 6, 2), (10, 6, 2))]
+
+
+@pytest.mark.parametrize("ctype,m", FALLBACK_KEYS)
+def test_fallback_keys_need_the_first_stretched_shape(ctype, m):
+    # the data behind ATLAS_FALLBACK_SHAPES's order: every stock shape
+    # misses these targets, and the stretched shape put first reaches them
+    from confocal_billiards import STOCK_ELLIPSOIDS_3D, NoSolutionInComponent
+    from confocal_billiards.engine import ATLAS_FALLBACK_SHAPES
+    target = WindingNumbers(m).target()
+    for ell in STOCK_ELLIPSOIDS_3D:
+        with pytest.raises(NoSolutionInComponent):
+            invert_frequency(target, ctype, ell)
+    assert ATLAS_FALLBACK_SHAPES[0] == Ellipsoid((0.05, 0.2, 1.0))
+    invert_frequency(target, ctype, ATLAS_FALLBACK_SHAPES[0])
+
+
+def test_atlas_records_rejected_shapes(atlas):
+    # the fallback classes reject the thin then the flat shape, each with
+    # its inversion error, and build on the first stretched shape; every
+    # other class builds on its first shape
+    from confocal_billiards import STOCK_ELLIPSOIDS_3D
+    flat, thin = STOCK_ELLIPSOIDS_3D[0], STOCK_ELLIPSOIDS_3D[2]
+    assert set(atlas.rejected) == {t.class_id for t in atlas.trajectories}
+    rejecting = {cid: misses for cid, misses in atlas.rejected.items() if misses}
+    assert len(rejecting) == 24 and len(atlas.rejected) == 124
+    classes = [class_by_id(cid, 2) for cid in rejecting]
+    assert {(c.ctype, c.minimal_winding.m) for c in classes} == set(FALLBACK_KEYS)
+    for misses in rejecting.values():
+        assert [axes for axes, _ in misses] == [thin.axes, flat.axes]
+        assert all(msg.startswith("NoSolutionInComponent: Newton stalled") for _, msg in misses)
+    shapes = {t.class_id: t.ellipsoid.axes for t in atlas.trajectories}
+    assert {shapes[cid] for cid in rejecting} == {(0.05, 0.2, 1.0)}

@@ -454,6 +454,36 @@ def _logged_starts(monkeypatch, target, ctype, ell):
     return batches
 
 
+def _other_local_minima(norms, ctype, ell, six):
+    """The scan rows, not among ``six``, whose finite norm is at most every neighbour's.
+
+    A row's neighbours are the up to eight cells around it in the product
+    of the per-axis grids; a cell the ordered filter dropped counts as
+    +inf.  Sorted as (norm, x1, x2) tuples, like the starts.
+    """
+    (lo1, hi1), (lo2, hi2) = caustic_component_bounds(ctype, ell)
+    g1, g2 = spectral._edge_clustered_grid(lo1, hi1), spectral._edge_clustered_grid(lo2, hi2)
+    at = dict(zip(map(tuple, _scan_grid(ctype, ell).tolist()), norms.tolist()))
+    out = []
+    for i, j in np.ndindex(len(g1), len(g2)):
+        x = (float(g1[i]), float(g2[j]))
+        if x not in at or x in six or not math.isfinite(at[x]):
+            continue
+        around = [at.get((float(g1[i + di]), float(g2[j + dj])), math.inf)
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                  if (di or dj) and 0 <= i + di < len(g1) and 0 <= j + dj < len(g2)]
+        if all(at[x] <= v for v in around):
+            out.append((at[x],) + x)
+    return [tuple(x) for _, *x in sorted(out)]
+
+
+def _check_rescue_batches(batches, target, ctype, ell, six):
+    """After the starts [1, 5], at most one batch: every other local minimum, in order."""
+    norms = spectral._scan_norms(_scan_grid(ctype, ell), target, ell, 1e-12)
+    rest = _other_local_minima(norms, ctype, ell, set(six))
+    assert batches[2:] == ([rest] if rest else [])
+
+
 @pytest.mark.parametrize("coarse", [False, True])
 def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
     # H1H1 grids repeat every x1 for many x2; coarse frequencies make
@@ -470,9 +500,12 @@ def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
     monkeypatch.setattr(spectral, "_omega_rows", omega_rows)
     batches = _logged_starts(monkeypatch, target, ctype, ell)
     ref = _full_scan_starts(omega_rows, target, ctype, ell)
-    # the best start alone, then the other five in one stack
-    assert [len(b) for b in batches] == [1, 5]
-    assert [x for b in batches for x in b] == [(x1, x2) for _, x1, x2 in ref]
+    # the best start alone, then the other five in one stack; Newton never
+    # converges here, so the scan's other local minima follow
+    six = [(x1, x2) for _, x1, x2 in ref]
+    assert [len(b) for b in batches[:2]] == [1, 5]
+    assert [x for b in batches[:2] for x in b] == six
+    _check_rescue_batches(batches, target, ctype, ell, six)
     if coarse:      # one norm and one x1: x2 alone orders these six
         assert len({(nrm, x1) for nrm, x1, _ in ref}) == 1
 
@@ -719,9 +752,11 @@ def test_lazy_scan_starts_match_full_scan(case):
     with pytest.MonkeyPatch.context() as mp:
         batches = _logged_starts(mp, target, ctype, ell)
     ref = _full_scan_starts(spectral._omega_rows, target, ctype, ell)
-    assert [x for b in batches for x in b] == [(x1, x2) for _, x1, x2 in ref]
+    six = [(x1, x2) for _, x1, x2 in ref]
+    assert [x for b in batches[:2] for x in b] == six
     norms = spectral._scan_norms(_scan_grid(ctype, ell), target, ell, 1e-12)
     assert sorted(norms.tolist())[:6] == [nrm for nrm, _, _ in ref]
+    _check_rescue_batches(batches, target, ctype, ell, six)
 
 
 @pytest.mark.parametrize("case", SECOND_START)
@@ -800,3 +835,39 @@ def test_singular_jacobian_stops_only_its_start():
     assert nrms[0] == _newton_one_point(resid_rows, clip, starts[:1], b, 1e-12)[1][0]
     alone = spectral._newton(resid_rows, clip, starts[1:], b, 1e-12)
     assert np.array_equal(lams[1], alone[0][0]) and nrms[1] == alone[1][0] <= 1e-12
+
+
+#: Seeded freq_invert targets on which all six starts stall and another
+#: local minimum of the scan converges: EH1 on (0.05, 0.95, 1).
+RESCUED = ((0.016316498523874044, 0.17635413370224312),
+           (0.01689867903215345, 0.19197526763784312),
+           (0.01673541125551715, 0.18180540150727598))
+
+
+@pytest.mark.parametrize("lams", RESCUED)
+def test_rescued_stalls_invert(ell_flat, lams):
+    target = frequency_map(CausticParams(lams, "EH1"), ell_flat).omega
+    got = invert_frequency(target, "EH1", ell_flat).lambdas
+    assert max(abs(a - b) for a, b in zip(got, lams)) < 1e-8
+
+
+def test_other_local_minimum_converges_after_six_stalls(monkeypatch, ell_flat):
+    # the six starts stall; the third batch holds the scan's other local
+    # minima, and the first of them to converge gives lambda
+    target = frequency_map(CausticParams(RESCUED[0], "EH1"), ell_flat).omega
+    runs = []
+    newton = spectral._newton
+
+    def logging(resid_rows, clip, lam0, *args):
+        out = newton(resid_rows, clip, lam0, *args)
+        runs.append(([tuple(x) for x in lam0.tolist()], out[1], out[0]))
+        return out
+
+    monkeypatch.setattr(spectral, "_newton", logging)
+    lam = invert_frequency(target, "EH1", ell_flat)
+    assert [len(starts) for starts, _, _ in runs] == [1, 5, 1]
+    assert min(nrm for _, nrms, _ in runs[:2] for nrm in nrms) > 1e-10
+    six = [x for starts, _, _ in runs[:2] for x in starts]
+    norms = spectral._scan_norms(_scan_grid("EH1", ell_flat), np.array(target), ell_flat, 1e-12)
+    assert runs[2][0] == _other_local_minima(norms, "EH1", ell_flat, set(six))
+    assert runs[2][1][0] <= 1e-10 and lam.lambdas == tuple(runs[2][2][0])
