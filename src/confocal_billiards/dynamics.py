@@ -30,6 +30,8 @@ from .errors import DegenerateImpact
 from .geometry import Ellipsoid
 
 _TANGENT_TOL = 1e-13
+#: Surface and unit-speed residuals the bounce kernel leaves uncorrected.
+_SURFACE_EPS = 4.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,15 @@ def nonempty_reversors(dim: int) -> list[Reversor]:
 #: The bounce loop, one template for every dimension.  ``#`` stands for a
 #: coordinate index: a statement holding it is repeated for each
 #: coordinate, ``{+ e}`` is the sum of e over the coordinates, left to
-#: right as numpy sums a row, and ``{, e}`` is their tuple.
+#: right as numpy sums a row, and ``{, e}`` is their tuple.  ``G = Q/A``
+#: is computed once per impact and serves the next bounce's reflection.
 _BOUNCE_LOOP = """
 def loop(q, p, a, steps, project, qapp, papp):
     A# = a[#]
     Q# = q[#]
     P# = p[#]
+    G# = Q# / A#
     for _ in range(steps):
-        G# = Q# / A#
         gp = {+ G# * P#}
         if -tol < gp < tol:
             q = {, Q#}
@@ -197,66 +200,97 @@ def loop(q, p, a, steps, project, qapp, papp):
         P# = P# + nu * G#
         mu = -2.0 * {+ G# * P#} / {+ P# * (P# / A#)}
         Q# = Q# + mu * P#
+        G# = Q# / A#
         if project:
-            G# = Q# / A#
-            c2 = {+ G# * (G# / A#)}
-            c1 = 2.0 * {+ G# * G#}
             c0 = {+ Q# * G#} - 1.0
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc < 0.0:
-                disc = 0.0
-            t = 2.0 * c0 / (c1 + sqrt(disc))
-            Q# = Q# - t * G#
-            s = sqrt({+ P# * P#})
-            P# = P# / s
+            if not -eps < c0 < eps:
+                c2 = {+ G# * (G# / A#)}
+                c1 = 2.0 * {+ G# * G#}
+                disc = c1 * c1 - 4.0 * c2 * c0
+                if disc < 0.0:
+                    disc = 0.0
+                t = 2.0 * c0 / (c1 + sqrt(disc))
+                Q# = Q# - t * G#
+                G# = Q# / A#
+            s = {+ P# * P#}
+            if not -eps < s - 1.0 < eps:
+                s = sqrt(s)
+                P# = P# / s
         qapp(Q#)
         papp(P#)
 """
 
 
 @lru_cache(maxsize=None)
-def _bounce_loop(d: int):
-    """``_BOUNCE_LOOP`` written out for dimension d and compiled, once per d."""
+def _bounce_loop(d: int, velocities: bool = True):
+    """``_BOUNCE_LOOP`` written out for dimension d and compiled, once per d.
+
+    Without ``velocities`` the velocity appends are left out.
+    """
     def each(text: str, sep: str) -> str:
         return sep.join(text.replace("#", str(j)) for j in range(d))
 
     lines = []
     for line in _BOUNCE_LOOP.splitlines():
+        if not velocities and line.lstrip().startswith("papp("):
+            continue
         line = re.sub(r"\{([+,]) (.*?)\}", lambda m: (
             f"({each(m[2], ' + ')})" if m[1] == "+" else each(m[2], ", ")), line)
         if "#" in line:
             body = line.lstrip()
             line = line[:len(line) - len(body)] + each(body, "; ")
         lines.append(line)
-    namespace = {"sqrt": math.sqrt, "tol": _TANGENT_TOL, "DegenerateImpact": DegenerateImpact}
+    namespace = {"sqrt": math.sqrt, "tol": _TANGENT_TOL, "eps": _SURFACE_EPS,
+                 "DegenerateImpact": DegenerateImpact}
     exec(compile("\n".join(lines), f"<bounce loop, d={d}>", "exec"), namespace)
     return namespace["loop"]
+
+
+def _start(q, p, a, steps: int) -> tuple[array, array]:
+    """Validated start row: ``array("d")`` copies of q and p."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    qbuf, pbuf = array("d", q), array("d", p)
+    d = len(a)
+    if len(qbuf) != d or len(pbuf) != d:
+        raise ValueError(f"q and p must have {d} coordinates")
+    if not all(map(math.isfinite, qbuf + pbuf)):
+        raise ValueError(f"non-finite start q={tuple(qbuf)}, p={tuple(pbuf)}")
+    return qbuf, pbuf
 
 
 def _orbit(q, p, a, steps: int, project: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Impacts and velocities of ``steps`` bounces from (q, p), rows 0..steps.
 
     The one bounce kernel.  Each bounce raises DegenerateImpact on a
-    tangential impact; with ``project`` it then shifts the impact along
-    Dq back onto the surface (the root of ``<D(q - t Dq), q - t Dq> = 1``
-    nearest 0) and renormalizes the velocity.  The loop runs on Python
-    floats with every coordinate in its own local: at d <= 4, numpy's
-    per-call overhead and even a Python loop over the coordinates cost
-    more than the arithmetic.  A bounce appends its coordinates to two
-    flat ``array("d")`` buffers seeded with the start row, and calls
-    nothing but ``sqrt`` and those appends.  The results are writable,
-    C-ordered float64 views of shape (steps + 1, d) on the buffers, with
-    no copy.  Negative ``steps`` raise ValueError.
+    tangential impact.  With ``project``, an impact whose residual
+    ``c0 = <q, Dq> - 1`` lies outside +-_SURFACE_EPS is shifted along Dq
+    back onto the surface (the root of ``<D(q - t Dq), q - t Dq> = 1``
+    nearest 0), and a velocity whose ``|p|^2 - 1`` lies outside
+    +-_SURFACE_EPS is renormalized; the advance keeps ``<q, Dq>`` to
+    rounding, so most bounces need neither.  Without ``project`` no
+    bounce is corrected.  The loop runs on Python floats with every
+    coordinate in its own local: at d <= 4, numpy's per-call overhead and
+    even a Python loop over the coordinates cost more than the
+    arithmetic.  A bounce appends its coordinates to two flat
+    ``array("d")`` buffers seeded with the start row, and calls nothing
+    but ``sqrt`` and those appends.  The results are writable, C-ordered
+    float64 views of shape (steps + 1, d) on the buffers, with no copy.
+    Negative ``steps``, a start of the wrong length and a non-finite
+    start raise ValueError.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    d = len(a)
-    qbuf, pbuf = array("d", q), array("d", p)
-    if len(qbuf) != d or len(pbuf) != d:
-        raise ValueError(f"q and p must have {d} coordinates")
-    _bounce_loop(d)(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps, project,
-                    qbuf.append, pbuf.append)
-    return np.frombuffer(qbuf).reshape(-1, d), np.frombuffer(pbuf).reshape(-1, d)
+    qbuf, pbuf = _start(q, p, a, steps)
+    _bounce_loop(len(a))(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps,
+                         project, qbuf.append, pbuf.append)
+    return np.frombuffer(qbuf).reshape(-1, len(a)), np.frombuffer(pbuf).reshape(-1, len(a))
+
+
+def _impacts(q, p, a, steps: int) -> np.ndarray:
+    """The impacts of ``_orbit``, bit for bit, from a loop that keeps no velocities."""
+    qbuf, pbuf = _start(q, p, a, steps)
+    _bounce_loop(len(a), False)(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps,
+                                True, qbuf.append, None)
+    return np.frombuffer(qbuf).reshape(-1, len(a))
 
 
 def billiard_map(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:

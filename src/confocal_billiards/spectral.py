@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import PhasePoint, _orbit
+from .dynamics import PhasePoint, _impacts
 from .errors import (
     NoSolutionInComponent,
     QuadratureNotConverged,
@@ -314,15 +314,16 @@ def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
     """Event-counting estimates for many caustic parameters on one ellipsoid.
 
     Each orbit is iterated by the bounce kernel from its start (a tangent
-    start per caustic when ``starts`` is unset) and its turning events are
-    counted exactly; the error bound is 2 / bounces.
+    start per caustic when ``starts`` is unset), through the kernel's
+    impacts-only loop since the events need no velocities, and its
+    turning events are counted exactly; the error bound is 2 / bounces.
     """
     lams = list(lams)
     if starts is None:
         starts = [default_tangent_start(lam, ell, rng) for lam in lams]
     out = []
     for lam, start in zip(lams, starts, strict=True):
-        impacts, _ = _orbit(start.q, start.p, ell.a, bounces)
+        impacts = _impacts(start.q, start.p, ell.a, bounces)
         counts, _ = count_turning_events(impacts, lam, ell)
         om = counts[1:] / (2.0 * counts[0])
         out.append(FrequencyValue(tuple(float(v) for v in om), 2.0 / bounces))
@@ -345,7 +346,7 @@ def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
         start = default_tangent_start(lam, ell, rng)
     if samples_per_chord is None:
         return empirical_frequency_batch([lam], ell, bounces, [start])[0]
-    impacts, _ = _orbit(start.q, start.p, ell.a, bounces)
+    impacts = _impacts(start.q, start.p, ell.a, bounces)
     path = sample_elliptic_path(impacts, ell, samples_per_chord)
     osc = np.array([_count_oscillations_sampled(path[:, i], closed=False)
                     for i in range(1, ell.dim)])

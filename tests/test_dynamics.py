@@ -24,7 +24,7 @@ from confocal_billiards import (
     seed_point,
     tangent_directions,
 )
-from confocal_billiards.dynamics import _orbit, reversor_from_key
+from confocal_billiards.dynamics import _SURFACE_EPS, _impacts, _orbit, reversor_from_key
 from confocal_billiards.errors import NoSolutionInComponent
 from confocal_billiards.spectral import default_tangent_start
 from conftest import random_phase_point
@@ -221,8 +221,16 @@ def test_reversor_catalog_sizes():
 # The bounce kernel against the numpy kernels it replaced
 # --------------------------------------------------------------------------
 
+def _outside(residual):
+    return ~((-_SURFACE_EPS < residual) & (residual < _SURFACE_EPS))
+
+
 def _step_batch(Q, P, a, project=True):
-    """Former lockstep kernel: one bounce of every row."""
+    """Former lockstep kernel: one bounce of every row.
+
+    With ``project``, a row's impact is projected and its velocity
+    renormalized only where its residual lies outside the kernel's bound.
+    """
     G = Q / a
     nu = -2.0 * np.sum(G * P, axis=1) / np.sum(G * G, axis=1)
     P1 = P + nu[:, None] * G
@@ -235,8 +243,10 @@ def _step_batch(Q, P, a, project=True):
     c1 = 2.0 * np.sum(G1 * G1, axis=1)
     c0 = np.sum(Q1 * G1, axis=1) - 1.0
     disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
-    Q1 = Q1 - (2.0 * c0 / (c1 + np.sqrt(disc)))[:, None] * G1
-    P1 = P1 / np.linalg.norm(P1, axis=1)[:, None]
+    Q1 = np.where(_outside(c0)[:, None],
+                  Q1 - (2.0 * c0 / (c1 + np.sqrt(disc)))[:, None] * G1, Q1)
+    s = np.sum(P1 * P1, axis=1)
+    P1 = np.where(_outside(s - 1.0)[:, None], P1 / np.sqrt(s)[:, None], P1)
     return Q1, P1
 
 
@@ -355,6 +365,43 @@ def test_orbit_raises_on_tangential_impact(ell_mid):
             _orbit(q, n / np.linalg.norm(n), ell_mid.a, steps)
     with pytest.raises(ValueError, match="3 coordinates"):
         _orbit(q[:2], n[:2], ell_mid.a, 1)
+
+
+@settings(max_examples=30)
+@given(shapes_and_tangent_starts())
+def test_orbit_stays_on_the_surface_at_unit_speed_property(case):
+    ell, start, _ = case
+    qs, ps = _orbit(start.q, start.p, ell.a, 2000)
+    assert np.all(np.abs(np.sum(qs[1:] * (qs[1:] / ell.a), axis=1) - 1.0) <= _SURFACE_EPS)
+    assert np.all(np.abs(np.sum(ps[1:] * ps[1:], axis=1) - 1.0) <= _SURFACE_EPS)
+
+
+def test_one_bounce_projects_a_start_off_the_surface(ell_mid):
+    _, (start,) = _tangent_starts(ell_mid.axes, (0.2, 0.6), 5, 1)
+    q = np.array(start.q) * (1.0 + 1e-9)
+    p = np.array(start.p) * (1.0 + 1e-9)
+    qs, ps = _orbit(q, p, ell_mid.a, 1)
+    assert abs(float(qs[0] @ (qs[0] / ell_mid.a)) - 1.0) > 1e-9
+    assert abs(float(qs[1] @ (qs[1] / ell_mid.a)) - 1.0) <= _SURFACE_EPS
+    assert abs(float(ps[1] @ ps[1]) - 1.0) <= _SURFACE_EPS
+
+
+@pytest.mark.parametrize("axes, lams", KERNEL_CASES + [((0.1, 0.3, 0.6, 1.0), (0.05, 0.2, 0.5))])
+def test_impacts_only_loop_matches_orbit_bit_for_bit(axes, lams):
+    ell, starts = _tangent_starts(axes, lams, 3, 2)
+    for s in starts:
+        qs, _ = _orbit(s.q, s.p, ell.a, 2000)
+        assert np.array_equal(_impacts(s.q, s.p, ell.a, 2000), qs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_raises(bad):
+    ell = Ellipsoid((0.13, 0.8, 1.0))
+    for q, p in (((bad, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0), (0.0, bad, 1.0))):
+        with pytest.raises(ValueError, match="non-finite start"):
+            iterate_orbit(PhasePoint(q, p), ell, 3)
+        with pytest.raises(ValueError, match="non-finite start"):
+            _impacts(q, p, ell.a, 3)
 
 
 # --------------------------------------------------------------------------
