@@ -26,15 +26,14 @@ from .dynamics import Reversor, iterate_orbit, nonempty_reversors
 from .errors import (
     BilliardError,
     FeasibilityError,
-    NonGenericPoint,
     NoSolutionInComponent,
     QuadratureNotConverged,
     SingularCaustic,
     UnsupportedDimension,
     VerificationFailed,
 )
-from .geometry import (CausticParams, Ellipsoid, caustic_params_of_lines, caustic_type,
-                       caustic_types, cuboid, elliptic_coords)
+from .geometry import (CausticParams, Ellipsoid, cartesian_to_elliptic, caustic_params_of_lines,
+                       caustic_type, caustic_types, cuboid)
 from .spectral import (
     WindingNumbers,
     count_turning_events,
@@ -362,18 +361,15 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
     vtol = vertex_tol * max(1.0, ell.axes[-1])
     vertex_visits: list[dict] = []
     seen_masks: set[tuple[int, ...]] = set()
-    # impact j, then the midpoint of chord j, in one batch
-    pts = np.empty((2 * m0, ell.dim))
-    pts[0::2] = t.impacts[:m0]
-    pts[1::2] = 0.5 * (t.impacts[:m0] + t.impacts[1:m0 + 1])
-    mus, ok = elliptic_coords(pts, ell)
-    if not ok.all():
-        raise NonGenericPoint(f"colliding elliptic coordinates at {pts[np.argmin(ok)]}")
-    for k, mu in enumerate(mus):
-        mask = _match_vertex(mu, box, vtol)
+    for j in range(m0):
+        mask = _match_vertex(cartesian_to_elliptic(t.impacts[j], ell).coords, box, vtol)
         if mask is not None:
-            vertex_visits.append({"at": ("impact", "midpoint")[k % 2], "index": k // 2,
-                                  "mask": list(mask)})
+            vertex_visits.append({"at": "impact", "index": j, "mask": list(mask)})
+            seen_masks.add(mask)
+        mid = 0.5 * (t.impacts[j] + t.impacts[j + 1])
+        mask = _match_vertex(cartesian_to_elliptic(mid, ell).coords, box, vtol)
+        if mask is not None:
+            vertex_visits.append({"at": "midpoint", "index": j, "mask": list(mask)})
             seen_masks.add(mask)
 
     delta = vertex_delta_of_kind(t.winding)

@@ -61,8 +61,7 @@ def _node_sums(level, mid, r, off, below, powers) -> np.ndarray:
     and ``off_j + dr`` above it.  Rows come in runs that share the side
     of every root; a chunk stays inside one run and takes each side as a
     whole.  Where the runs are shorter than the chunks (one row's
-    intervals, a Jacobian batch), each root's factor picks its side per
-    element, one (rows, nodes) slice at a time.
+    intervals, a Jacobian batch), one pass picks each element's side.
     The product runs over j = 0..R-1 in order, and the powers of s are
     ascending, each one more multiply by s.
     """
@@ -81,12 +80,17 @@ def _node_sums(level, mid, r, off, below, powers) -> np.ndarray:
             rr = r[sl, None]
             dl = rr * dleft if sides is None or any(sides) else None
             dr = rr * dright if sides is None or not all(sides) else None
-            picked = (np.where(below[sl, j, None], dl, dr) if sides is None
-                      else dl if sides[j] else dr for j in range(n_roots))
-            prod = off[sl, 0, None] + next(picked)
-            tmp = np.empty_like(prod)
-            for j, d in enumerate(picked, 1):
-                prod *= np.add(off[sl, j, None], d, out=tmp)
+            if sides is None:
+                fac = np.where(below[sl, :, None], dl[:, None], dr[:, None])
+                fac += off[sl, :, None]
+                prod = fac[:, 0].copy()
+                for j in range(1, n_roots):
+                    prod *= fac[:, j]
+            else:
+                prod = off[sl, 0, None] + (dl if sides[0] else dr)
+                tmp = np.empty_like(prod)
+                for j in range(1, n_roots):
+                    prod *= np.add(off[sl, j, None], dl if sides[j] else dr, out=tmp)
             term = np.divide(w, np.sqrt(prod, out=prod), out=prod)
             if powers[-1] > 0:
                 s = rr * x

@@ -1,4 +1,4 @@
-"""Record the outcome of many inversions, and compare two such records.
+"""Record the outcome of many inversions, or an atlas build, and compare two records.
 
 An outcome is what ``invert_frequency`` returns for one target: its
 caustic parameters as a tuple of floats, or the text of the error it
@@ -25,8 +25,21 @@ commit::
 ``--src`` picks the library source tree (default: this checkout's
 ``src``); the workload definitions always come from this checkout's
 ``bench``.  ``compare`` prints every differing key with both outcomes
-and exits 1 when any differs.  It unpickles its inputs, so give it only
-records that ``collect`` wrote.
+and exits 1 when any differs.
+
+``collect --atlas`` records a ``minimal_atlas()`` build instead: per
+class, the shape's axes, the caustic parameters, the impacts and
+velocities, the visited vertex masks, the winding counts and the closure
+residual.  A change may move orbits at rounding level, so ``compare`` of
+two atlas records prints per class the largest |difference| of the
+caustic parameters (lambda), the impacts and the velocities, then the
+largest of each over all classes, and exits 1 only when the builds
+differ in their classes, or in a class's shape, visited masks, winding
+counts or period, or when a closure residual exceeds ``CLOSURE_TOL`` on
+either side.
+
+``compare`` unpickles its inputs, so give it only records that
+``collect`` wrote.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 R4_AXES = (0.1, 0.3, 0.6, 1.0)
+CLOSURE_TOL = 1e-8
 
 
 def collect(seeds, items: int) -> dict:
@@ -83,7 +97,72 @@ def collect(seeds, items: int) -> dict:
     return out
 
 
+def collect_atlas() -> dict:
+    from confocal_billiards import minimal_atlas, verify_trajectory
+
+    atlas = minimal_atlas()
+    classes = {}
+    for t in atlas.trajectories:
+        report = t.report or verify_trajectory(t)
+        classes[t.class_id] = {
+            "axes": t.ellipsoid.axes,
+            "lambdas": t.caustic.lambdas,
+            "impacts": t.impacts.copy(),
+            "velocities": t.velocities.copy(),
+            "visited_masks": [tuple(m) for m in report.visited_masks],
+            "winding_counts": tuple(report.winding_counts),
+            "closure": t.closure_residual,
+        }
+    # inversion records have tuple keys only
+    return {"kind": "atlas", "failures": list(atlas.failures), "classes": classes}
+
+
+def _max_abs_diff(x, y) -> float:
+    import numpy as np
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(np.max(np.abs(x - y), initial=0.0)) if x.shape == y.shape else float("inf")
+
+
+def compare_atlas(old: dict, new: dict) -> int:
+    bad = []
+    if old["failures"] != new["failures"]:
+        bad.append(f"failures: {old['failures']} -> {new['failures']}")
+    worst = {"lambda": 0.0, "impacts": 0.0, "velocities": 0.0}
+    for cid in sorted(old["classes"].keys() | new["classes"].keys()):
+        a, b = old["classes"].get(cid), new["classes"].get(cid)
+        if a is None or b is None:
+            bad.append(f"{cid}: built on one side only")
+            continue
+        for key in ("axes", "visited_masks", "winding_counts"):
+            if a[key] != b[key]:
+                bad.append(f"{cid}: {key} {a[key]} -> {b[key]}")
+        if a["impacts"].shape != b["impacts"].shape:
+            bad.append(f"{cid}: period {len(a['impacts']) - 1} -> {len(b['impacts']) - 1}")
+        for side, rec in (("old", a), ("new", b)):
+            if not rec["closure"] <= CLOSURE_TOL:
+                bad.append(f"{cid}: {side} closure {rec['closure']:.3e} > {CLOSURE_TOL:.0e}")
+        diffs = {"lambda": _max_abs_diff(a["lambdas"], b["lambdas"]),
+                 "impacts": _max_abs_diff(a["impacts"], b["impacts"]),
+                 "velocities": _max_abs_diff(a["velocities"], b["velocities"])}
+        for key, v in diffs.items():
+            worst[key] = max(worst[key], v)
+        print(f"{cid:<24} " + "  ".join(f"d{k} {v:.2e}" for k, v in diffs.items())
+              + f"  closure {a['closure']:.1e} -> {b['closure']:.1e}")
+    for line in bad:
+        print("MISMATCH " + line)
+    print(f"{len(old['classes'])} vs {len(new['classes'])} classes; largest |d|: "
+          + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
+          + f"; {len(bad)} mismatches")
+    return 1 if bad else 0
+
+
 def compare(old: dict, new: dict) -> int:
+    kinds = {old.get("kind"), new.get("kind")}
+    if kinds == {"atlas"}:
+        return compare_atlas(old, new)
+    if "atlas" in kinds:
+        raise SystemExit("cannot compare an atlas record with an inversion record")
     diffs = sorted((k for k in old.keys() | new.keys() if old.get(k) != new.get(k)), key=repr)
     for key in diffs:
         print(f"{key}\n  old: {old.get(key, '<missing>')}\n  new: {new.get(key, '<missing>')}")
@@ -98,6 +177,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     p_collect = sub.add_parser("collect", help="invert every case and pickle the outcomes")
     p_collect.add_argument("out")
+    p_collect.add_argument("--atlas", action="store_true",
+                           help="record a minimal_atlas() build instead of inversions")
     p_collect.add_argument("--src", default=str(ROOT / "src"))
     p_collect.add_argument("--seeds", default="1,2,3,7",
                            help="freq_invert seeds, comma-separated")
@@ -112,12 +193,16 @@ def main(argv=None) -> int:
             return compare(pickle.load(fa), pickle.load(fb))
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
     start = time.perf_counter()
-    record = collect([int(s) for s in args.seeds.split(",")], args.items)
+    if args.atlas:
+        record = collect_atlas()
+        summary = f"{len(record['classes'])} classes ({len(record['failures'])} failures)"
+    else:
+        record = collect([int(s) for s in args.seeds.split(",")], args.items)
+        fails = sum(isinstance(v, str) for v in record.values())
+        summary = f"{len(record)} outcomes ({fails} errors)"
     with open(args.out, "wb") as fh:
         pickle.dump(record, fh)
-    fails = sum(isinstance(v, str) for v in record.values())
-    print(f"{len(record)} outcomes ({fails} errors) in {time.perf_counter() - start:.1f} s "
-          f"-> {args.out}")
+    print(f"{summary} in {time.perf_counter() - start:.1f} s -> {args.out}")
     return 0
 
 
