@@ -182,8 +182,7 @@ def _cmd_spt_atlas(args) -> int:
 
     for traj in result.trajectories:
         name = traj.class_id.replace(":", "-").replace(".", "") + ".json"
-        report = traj.report or verify_trajectory(traj)
-        document.save_trajectory(traj, os.path.join(args.out, name), report)
+        document.save_trajectory(traj, os.path.join(args.out, name), traj.report)
         index.append({"id": traj.class_id, "file": name,
                       "period": traj.period,
                       "axes": list(traj.ellipsoid.axes),

@@ -91,10 +91,12 @@ def trajectory_from_document(doc: dict) -> Trajectory:
     """Rebuild a trajectory, checking the document against itself.
 
     The caustic goes through ``CausticParams.from_values`` and its stored
-    type must match; ``winding`` must be dim positive integers, and
+    type must match; ``winding`` must be dim positive integers,
     ``impacts`` and ``velocities`` finite arrays of shape
-    ``(winding[0] + 1, dim)``.  A document that fails raises ValueError
-    (or the BilliardError of the caustic check), never a wrong trajectory.
+    ``(winding[0] + 1, dim)``, ``branch`` (default 0) an integer >= 0 and
+    ``class_id`` (default null) a string or null.  A document that fails
+    raises ValueError (or the BilliardError of the caustic check), never
+    a wrong trajectory.
     """
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         schema = doc.get("schema") if isinstance(doc, dict) else doc
@@ -108,7 +110,7 @@ def trajectory_from_document(doc: dict) -> Trajectory:
             raise ValueError(f"winding {m!r} is not {ell.dim} integers")
         winding = WindingNumbers(tuple(m))
         rows = {key: np.array(doc[key], dtype=float) for key in ("impacts", "velocities")}
-        branch = int(doc.get("branch", 0))
+        branch, class_id = doc.get("branch", 0), doc.get("class_id")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trajectory document: {type(exc).__name__}: {exc}") from None
     if ctype != lam.ctype:
@@ -118,13 +120,17 @@ def trajectory_from_document(doc: dict) -> Trajectory:
     for key, arr in rows.items():
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise ValueError(f"{key} must be finite with shape {shape}, got {arr.shape}")
+    if type(branch) is not int or branch < 0:
+        raise ValueError(f"branch {branch!r} is not an integer >= 0")
+    if class_id is not None and not isinstance(class_id, str):
+        raise ValueError(f"class_id {class_id!r} is not a string or null")
     return Trajectory(
         ellipsoid=ell,
         caustic=lam,
         winding=winding,
         impacts=rows["impacts"],
         velocities=rows["velocities"],
-        class_id=doc.get("class_id"),
+        class_id=class_id,
         branch=branch,
     )
 

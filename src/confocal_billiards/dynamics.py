@@ -41,17 +41,6 @@ class PhasePoint:
     q: tuple[float, ...]
     p: tuple[float, ...]
 
-    @classmethod
-    def make(cls, q, p, ell: Ellipsoid | None = None, *, renormalize: bool = False) -> "PhasePoint":
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if renormalize:
-            if ell is None:
-                raise ValueError("renormalize requires the ellipsoid")
-            q = ell.project(q)
-            p = p / np.linalg.norm(p)
-        return cls(tuple(q), tuple(p))
-
     @property
     def q_arr(self) -> np.ndarray:
         return np.array(self.q)
@@ -135,24 +124,22 @@ class Reversor:
         return flips == 0
 
     @property
+    def _flips(self) -> str:
+        """The flipped axes: 1-based digits, or in 2D 'x', 'y', 'xy'."""
+        flipped = self.sigma.flipped
+        return _2D_NAMES[flipped] if self.sigma.dim == 2 else "".join(str(j + 1) for j in flipped)
+
+    @property
     def label(self) -> str:
         """Display name, e.g. 'R_2', 'f.R_13' (2D: 'R_x', 'f.R_xy')."""
-        flipped = self.sigma.flipped
-        if self.sigma.dim == 2:
-            base = "R" + ("_" + _2D_NAMES[flipped] if flipped else "")
-        else:
-            base = "R" + ("_" + "".join(str(j + 1) for j in flipped) if flipped else "")
+        flips = self._flips
+        base = "R_" + flips if flips else "R"
         return base if self.family == "tilde" else "f." + base
 
     @property
     def key(self) -> str:
         """Compact ASCII identifier, e.g. 'R2', 'fR13', 'Rx', 'fRxy'."""
-        flipped = self.sigma.flipped
-        if self.sigma.dim == 2:
-            base = "R" + _2D_NAMES[flipped]
-        else:
-            base = "R" + "".join(str(j + 1) for j in flipped)
-        return base if self.family == "tilde" else "f" + base
+        return ("R" if self.family == "tilde" else "fR") + self._flips
 
 
 def reversor_from_key(key: str, dim: int) -> Reversor:
@@ -299,10 +286,10 @@ def billiard_map(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> Phas
     return PhasePoint(tuple(qs[1]), tuple(ps[1]))
 
 
-def billiard_map_inverse(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:
+def billiard_map_inverse(m: PhasePoint, ell: Ellipsoid) -> PhasePoint:
     """Inverse bounce, computed as r~ o f o r~."""
     r = Reversor("tilde", Reflection.identity(ell.dim))
-    return apply_reversor(r, billiard_map(apply_reversor(r, m, ell), ell, project=project), ell)
+    return apply_reversor(r, billiard_map(apply_reversor(r, m, ell), ell), ell)
 
 
 def apply_symmetry(s: Reflection, m: PhasePoint) -> PhasePoint:

@@ -9,14 +9,15 @@ Construction follows the five-step recipe: pick the class's minimal
 winding numbers, invert the frequency map inside the right component,
 take the closed-form seed of one of the class's vertexes, iterate the
 billiard map one period, and verify everything (closure, caustic
-preservation, symmetry-set memberships and the two-point law, vertex
-visits, exact winding counts, cuboid confinement).
+preservation, velocities along their chords, symmetry-set memberships
+and the two-point law, vertex visits, exact winding counts, cuboid
+confinement, and the class id against the orbit's type and vertexes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, product
 
@@ -251,25 +252,9 @@ class VerificationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "closure_residual": self.closure_residual,
-            "caustic_deviation": self.caustic_deviation,
-            "winding_counts": list(self.winding_counts),
-            "winding_match": self.winding_match,
-            "cuboid_excursion": self.cuboid_excursion,
-            "memberships": self.memberships,
-            "family_counts": self.family_counts,
-            "two_point_law_ok": self.two_point_law_ok,
-            "doubly_symmetric": self.doubly_symmetric,
-            "vertex_visits": self.vertex_visits,
-            "visited_masks": [list(m) for m in self.visited_masks],
-            "vertex_delta_ok": self.vertex_delta_ok,
-            "distinct_impacts": self.distinct_impacts,
-            "event_counts": self.event_counts,
-            "monotone_conjecture_ok": self.monotone_conjecture_ok,
-            "failures": self.failures,
-        }
+        return {"passed": self.passed, **asdict(self),
+                "winding_counts": list(self.winding_counts),
+                "visited_masks": [list(m) for m in self.visited_masks]}
 
 
 def distinct_impact_count(impacts: np.ndarray, ell: Ellipsoid) -> int:
@@ -294,27 +279,46 @@ def _match_vertex(coords, box, tol) -> tuple[int, ...] | None:
     return tuple(mask)
 
 
-def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
-                      closure_tol: float = 1e-8,
-                      caustic_tol: float = 1e-9,
-                      excursion_tol: float = 1e-9,
-                      membership_tol: float = 1e-7,
-                      vertex_tol: float = 1e-8,
-                      samples_per_chord: int = 64) -> VerificationReport:
-    """Run every check on a closed orbit and return a structured report."""
-    ell = ell or t.ellipsoid
+#: The bounds of ``verify_trajectory`` (``VERTEX_TOL`` relative to
+#: max(1, a_max)) and the samples per chord of its cuboid check.
+CLOSURE_TOL = 1e-8
+CAUSTIC_TOL = 1e-9
+VELOCITY_TOL = 1e-9
+EXCURSION_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-7
+VERTEX_TOL = 1e-8
+SAMPLES_PER_CHORD = 64
+
+
+def verify_trajectory(t: Trajectory) -> VerificationReport:
+    """Run every check on a closed orbit and return a structured report.
+
+    Each velocity after the first must be the unit direction of the
+    chord ending at its impact (closure covers the first), and a set
+    ``class_id`` must name a class of this dimension and caustic type
+    whose vertex pair is the one visited.  A failed check adds a line to
+    ``failures``; a chord that is not a regular line raises what
+    ``caustic_params_of_lines`` raises.
+    """
+    ell = t.ellipsoid
     lam = t.caustic
     m0 = t.period
     failures: list[str] = []
 
     closure = t.closure_residual
-    if closure > closure_tol:
-        failures.append(f"closure residual {closure:.3e} > {closure_tol:.0e}")
+    if closure > CLOSURE_TOL:
+        failures.append(f"closure residual {closure:.3e} > {CLOSURE_TOL:.0e}")
 
-    got = caustic_params_of_lines(t.impacts[:-1], np.diff(t.impacts, axis=0), ell)
+    chords = np.diff(t.impacts, axis=0)
+    got = caustic_params_of_lines(t.impacts[:-1], chords, ell)
     dev = float(np.max(np.abs(got - lam.lambdas), initial=0.0))
-    if dev > caustic_tol:
-        failures.append(f"caustic deviation {dev:.3e} > {caustic_tol:.0e}")
+    if dev > CAUSTIC_TOL:
+        failures.append(f"caustic deviation {dev:.3e} > {CAUSTIC_TOL:.0e}")
+
+    units = chords / np.linalg.norm(chords, axis=1)[:, None]
+    drift = float(np.max(np.abs(t.velocities[1:] - units), initial=0.0))
+    if drift > VELOCITY_TOL:
+        failures.append(f"velocities off their chords by {drift:.3e} > {VELOCITY_TOL:.0e}")
 
     counts, event_counts = count_turning_events(t.impacts, lam, ell, closed=True)
     winding_counts = tuple(int(c) // 2 for c in counts)
@@ -324,15 +328,15 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
         failures.append(f"winding counts {winding_counts} != prescribed {t.winding.m}")
 
     box = cuboid(lam, ell)
-    path = sample_elliptic_path(t.impacts, ell, samples_per_chord)
+    path = sample_elliptic_path(t.impacts, ell, SAMPLES_PER_CHORD)
     excursion = box.excursion(path)
-    if excursion > excursion_tol:
-        failures.append(f"cuboid excursion {excursion:.3e} > {excursion_tol:.0e}")
+    if excursion > EXCURSION_TOL:
+        failures.append(f"cuboid excursion {excursion:.3e} > {EXCURSION_TOL:.0e}")
 
     reversors = nonempty_reversors(ell.dim)
     memberships: dict[str, list[int]] = {}
     for r in reversors:
-        hits = symmetry_set_members(r, t.impacts[:-1], t.velocities[:-1], ell, membership_tol)
+        hits = symmetry_set_members(r, t.impacts[:-1], t.velocities[:-1], ell, MEMBERSHIP_TOL)
         if hits.size:
             memberships[r.key] = hits.tolist()
 
@@ -342,10 +346,9 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
         tilde_hits = memberships.get(sigma_key, [])
         hat_hits = memberships.get("f" + sigma_key, [])
         total = len(tilde_hits) + len(hat_hits)
-        if total:
-            family_counts[sigma_key] = total
-        if total == 0:
+        if not total:
             continue
+        family_counts[sigma_key] = total
         if total != 2:
             two_point_ok = False
             failures.append(f"family {sigma_key}: {total} symmetry points (expected 2)")
@@ -356,33 +359,37 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
             two_point_ok = False
             failures.append(f"family {sigma_key}: even period needs both points on one set")
 
-    doubly = len(memberships) >= 2
-
-    vtol = vertex_tol * max(1.0, ell.axes[-1])
+    vtol = VERTEX_TOL * max(1.0, ell.axes[-1])
     vertex_visits: list[dict] = []
-    seen_masks: set[tuple[int, ...]] = set()
     for j in range(m0):
-        mask = _match_vertex(cartesian_to_elliptic(t.impacts[j], ell).coords, box, vtol)
-        if mask is not None:
-            vertex_visits.append({"at": "impact", "index": j, "mask": list(mask)})
-            seen_masks.add(mask)
         mid = 0.5 * (t.impacts[j] + t.impacts[j + 1])
-        mask = _match_vertex(cartesian_to_elliptic(mid, ell).coords, box, vtol)
-        if mask is not None:
-            vertex_visits.append({"at": "midpoint", "index": j, "mask": list(mask)})
-            seen_masks.add(mask)
+        for at, q in (("impact", t.impacts[j]), ("midpoint", mid)):
+            mask = _match_vertex(cartesian_to_elliptic(q, ell).coords, box, vtol)
+            if mask is not None:
+                vertex_visits.append({"at": at, "index": j, "mask": list(mask)})
 
     delta = vertex_delta_of_kind(t.winding)
-    masks = sorted(seen_masks)
+    masks = sorted({tuple(v["mask"]) for v in vertex_visits})
     delta_ok = (len(masks) == 2
                 and tuple(b1 ^ b2 for b1, b2 in zip(*masks)) == delta)
     if not delta_ok:
         failures.append(f"visited vertexes {masks} do not differ by delta {delta}")
 
+    if t.class_id is not None:
+        try:
+            cls = class_by_id(t.class_id, ell.n)
+        except KeyError as exc:
+            failures.append(f"class: {exc.args[0]}")
+        else:
+            want = sorted(v.mask for v in cls.vertex_pair)
+            if cls.ctype != lam.ctype or want != masks:
+                failures.append(f"class {t.class_id}: type {cls.ctype} with vertexes {want}, "
+                                f"not {lam.ctype} with {masks}")
+
     for msg in parity_violations(t.winding, lam.ctype):
         failures.append("parity: " + msg)
 
-    report = VerificationReport(
+    return VerificationReport(
         closure_residual=closure,
         caustic_deviation=dev,
         winding_counts=winding_counts,
@@ -391,7 +398,7 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
         memberships=memberships,
         family_counts=family_counts,
         two_point_law_ok=two_point_ok,
-        doubly_symmetric=doubly,
+        doubly_symmetric=len(memberships) >= 2,
         vertex_visits=vertex_visits,
         visited_masks=masks,
         vertex_delta_ok=delta_ok,
@@ -400,7 +407,6 @@ def verify_trajectory(t: Trajectory, ell: Ellipsoid | None = None, *,
         monotone_conjecture_ok=t.winding.monotone,
         failures=failures,
     )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +463,12 @@ def _polish_lambda(vertex: CuboidVertex, lam: CausticParams, ell: Ellipsoid,
 
 def find_spt(cls: SptClass, ell: Ellipsoid, w: WindingNumbers | None = None, *,
              branch: int = 0, lam: CausticParams | None = None,
-             polish: bool = True, verify: bool = True) -> Trajectory:
-    """Construct and verify a symmetric periodic trajectory of the class."""
+             polish: bool = True) -> Trajectory:
+    """Construct and verify a symmetric periodic trajectory of the class.
+
+    The trajectory carries its passing report; a failed verification
+    raises VerificationFailed with the report.
+    """
     if ell.n != cls.dim - 1:
         raise ValueError("class dimension does not match the ellipsoid")
     w = w or cls.minimal_winding
@@ -477,12 +487,10 @@ def find_spt(cls: SptClass, ell: Ellipsoid, w: WindingNumbers | None = None, *,
     traj = Trajectory(ellipsoid=ell, caustic=lam, winding=w,
                       impacts=qs, velocities=ps,
                       class_id=cls.class_id, branch=branch)
-    if verify:
-        report = verify_trajectory(traj)
-        if not report.passed:
-            raise VerificationFailed(
-                f"class {cls.class_id}: " + "; ".join(report.failures), report)
-        traj.report = report
+    traj.report = verify_trajectory(traj)
+    if not traj.report.passed:
+        raise VerificationFailed(
+            f"class {cls.class_id}: " + "; ".join(traj.report.failures), traj.report)
     return traj
 
 
@@ -502,8 +510,7 @@ class AtlasResult:
 def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
                   ell_flat: Ellipsoid = STOCK_ELLIPSOIDS_3D[0],
                   ell_thin: Ellipsoid = STOCK_ELLIPSOIDS_3D[2], *,
-                  extra_shapes: tuple[Ellipsoid, ...] = ATLAS_FALLBACK_SHAPES,
-                  branch: int = 0) -> AtlasResult:
+                  extra_shapes: tuple[Ellipsoid, ...] = ATLAS_FALLBACK_SHAPES) -> AtlasResult:
     """One verified minimal trajectory per class (12 in 2D, 112 in 3D).
 
     Flat shapes serve the EH1/H1H1 classes and thin ("segment-like")
@@ -548,7 +555,7 @@ def minimal_atlas(ell2d: Ellipsoid = STOCK_ELLIPSOID_2D,
             misses = rejected[cls.class_id] = []
             for shape in shapes_for(cls):
                 try:
-                    traj = find_spt(cls, shape, w, branch=branch, lam=inverted(shape, cls, w))
+                    traj = find_spt(cls, shape, w, lam=inverted(shape, cls, w))
                     trajectories.append(traj)
                     last_err = None
                     break

@@ -73,17 +73,6 @@ class Ellipsoid:
         q = np.asarray(q, dtype=float)
         return float(q @ (q / self.a) - 1.0)
 
-    def project(self, q) -> np.ndarray:
-        """Shift q along Dq back onto the surface (drift control)."""
-        q = np.asarray(q, dtype=float)
-        g = q / self.a
-        c2 = float(g @ (g / self.a))
-        c1 = 2.0 * float(g @ g)
-        c0 = float(q @ g) - 1.0
-        disc = c1 * c1 - 4.0 * c2 * c0
-        t = 2.0 * c0 / (c1 + math.sqrt(max(disc, 0.0)))
-        return q - t * g
-
     def surface_point(self, direction) -> np.ndarray:
         """Intersection of the ray along ``direction`` with the surface."""
         v = np.asarray(direction, dtype=float)
@@ -180,14 +169,18 @@ class CausticParams:
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
 
     @classmethod
-    def from_values(cls, lambdas, ell: Ellipsoid, tol: float = 1e-12) -> "CausticParams":
+    def from_values(cls, lambdas, ell: Ellipsoid) -> "CausticParams":
+        """Checked parameters with their type; raises the error of the first broken rule."""
         lams = tuple(float(v) for v in lambdas)
-        for broken, (exc, why) in zip(_caustic_faults(lams, ell, tol), _CAUSTIC_RULES):
+        for broken, (exc, why) in zip(_caustic_faults(lams, ell), _CAUSTIC_RULES):
             if broken:
                 raise exc(f"{why}: {lams}")
         return cls(lams, caustic_type_of(lams, ell))
 
 
+#: Closest approach, relative to a_max, of a caustic parameter to 0, to an
+#: axis or to its neighbour, and of two elliptic coordinates to each other.
+_SINGULAR_TOL = 1e-12
 #: What caustic parameters must be, in the order they are checked: one
 #: (exception, message) per flag of ``_caustic_faults``.
 _CAUSTIC_RULES = (
@@ -198,7 +191,7 @@ _CAUSTIC_RULES = (
 )
 
 
-def _caustic_faults(lams, ell: Ellipsoid, tol: float) -> tuple:
+def _caustic_faults(lams, ell: Ellipsoid) -> tuple:
     """Which of ``_CAUSTIC_RULES`` the caustic parameters lams break.
 
     lams holds lambda_1, ..., lambda_n, each a float or an array over
@@ -206,7 +199,7 @@ def _caustic_faults(lams, ell: Ellipsoid, tol: float) -> tuple:
     bool arrays to match.  lambda_i must lie in (a_{i-1}, a_{i+1}),
     a_0 = 0; a NaN breaks that rule.
     """
-    eps = tol * ell.axes[-1]
+    eps = _SINGULAR_TOL * ell.axes[-1]
     a = (0.0,) + ell.axes
     return (_any(b <= c for c, b in zip(lams, lams[1:])),
             lams[0] <= eps,
@@ -266,7 +259,7 @@ def cuboid(lam: CausticParams, ell: Ellipsoid) -> Cuboid:
 # Cartesian <-> elliptic coordinates
 # --------------------------------------------------------------------------
 
-def elliptic_coords(Q, ell: Ellipsoid, *, collision_tol: float = 1e-12):
+def elliptic_coords(Q, ell: Ellipsoid):
     """Elliptic coordinates of a stack of points, (mu[N, d] ascending, ok[N]).
 
     The coordinates of x are the eigenvalues of ``diag(a) - x x^T``, since
@@ -277,7 +270,7 @@ def elliptic_coords(Q, ell: Ellipsoid, *, collision_tol: float = 1e-12):
     ``1e-12 * a_max`` of a hyperplane are snapped onto it and the limit
     root a_j is returned exactly; the other roots get one Newton step on
     ``F(mu) = sum_j x_j^2/(a_j - mu) - 1``.  ``ok`` is False where two
-    roots collide within ``collision_tol * a_max`` (the point sits next to
+    roots collide within ``_SINGULAR_TOL * a_max`` (the point sits next to
     a focal conic, where the coordinates are not defined).
     """
     a = ell.a
@@ -304,22 +297,22 @@ def elliptic_coords(Q, ell: Ellipsoid, *, collision_tol: float = 1e-12):
     # such roots can also break mu_0 <= a_1 <= mu_1 <= ... <= a_d by an ulp
     np.minimum(mu, a, out=mu)
     np.maximum(mu[:, 1:], a[:-1], out=mu[:, 1:])
-    ok = np.all(np.diff(mu, axis=1) >= collision_tol * scale, axis=1)
+    ok = np.all(np.diff(mu, axis=1) >= _SINGULAR_TOL * scale, axis=1)
     return mu, ok
 
 
-def cartesian_to_elliptic(q, ell: Ellipsoid, *, collision_tol: float = 1e-12) -> EllipticPoint:
+def cartesian_to_elliptic(q, ell: Ellipsoid) -> EllipticPoint:
     """Elliptic coordinates of a point: the roots of <D_mu q, q> = 1.
 
     Coordinates within ``1e-12 * a_max`` of a hyperplane are snapped onto
     it and the limit root a_j is returned exactly.  Raises NonGenericPoint
-    when two roots collide within ``collision_tol`` (the point sits next
-    to a focal conic, where the coordinates are not defined).
+    when two roots collide within ``_SINGULAR_TOL * a_max`` (the point
+    sits next to a focal conic, where the coordinates are not defined).
     """
     x = np.asarray(q, dtype=float)
     if x.shape != (ell.dim,):
         raise ValueError(f"point must have dimension {ell.dim}")
-    mu, ok = elliptic_coords(x[None], ell, collision_tol=collision_tol)
+    mu, ok = elliptic_coords(x[None], ell)
     if not ok[0]:
         raise NonGenericPoint(f"colliding elliptic coordinates at {q}")
     # 0 in the mask reports that q lies on that coordinate hyperplane
@@ -369,7 +362,7 @@ def line_tangency_residual(q, p, lam_value: float, ell: Ellipsoid) -> float:
     return abs(gamma - beta * beta / alpha)
 
 
-def caustic_params_of_lines(Q, Pdir, ell: Ellipsoid, *, tol: float = 1e-12) -> np.ndarray:
+def caustic_params_of_lines(Q, Pdir, ell: Ellipsoid) -> np.ndarray:
     """Caustic parameters of a stack of lines q + t p, (lambda[N, n] ascending).
 
     With U an orthonormal basis of the plane p^perp, the line is tangent
@@ -383,15 +376,19 @@ def caustic_params_of_lines(Q, Pdir, ell: Ellipsoid, *, tol: float = 1e-12) -> n
     next to a small lambda_1.  Invariant under replacing (q, p) by any
     other point/direction of the same line.
 
-    Raises what ``caustic_params_of_line`` raises for the first row that
-    is not a regular line: NonTransverse when lambda_1 < tol * a_max,
-    SingularLine when two parameters coincide, one meets an axis (the
-    line lies in a coordinate hyperplane) or one leaves its interleaving
-    interval.
+    Raises SingularLine for the first row whose direction is zero, before
+    any other check.  Then raises what ``caustic_params_of_line`` raises
+    for the first row that is not a regular line: NonTransverse when
+    lambda_1 < ``_SINGULAR_TOL * a_max``, SingularLine when two
+    parameters coincide, one meets an axis (the line lies in a
+    coordinate hyperplane) or one leaves its interleaving interval.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(Pdir, dtype=float)
-    P = P / np.linalg.norm(P, axis=1)[:, None]
+    norm = np.linalg.norm(P, axis=1)
+    if not norm.all():
+        raise SingularLine(f"line {np.argmin(norm != 0.0)} has the zero direction")
+    P = P / norm[:, None]
     d = ell.dim
     v = P.copy()
     v[:, -1] += np.where(P[:, -1] < 0.0, -1.0, 1.0)
@@ -399,25 +396,25 @@ def caustic_params_of_lines(Q, Pdir, ell: Ellipsoid, *, tol: float = 1e-12) -> n
         * v[:, :, None] * v[:, None, :-1]
     y = np.einsum("kji,kj->ki", U, Q)
     lams = np.linalg.eigvalsh(np.einsum("kji,j,kjl->kil", U, ell.a, U) - y[:, :, None] * y[:, None, :])
-    for row in lams[_any(_caustic_faults(lams.T, ell, tol))]:
-        _checked_caustic_params(row, ell, tol)      # raises for this row
+    for row in lams[_any(_caustic_faults(lams.T, ell))]:
+        _checked_caustic_params(row, ell)       # raises for this row
     return lams
 
 
-def _checked_caustic_params(lams, ell: Ellipsoid, tol: float) -> CausticParams:
-    if lams[0] < tol * ell.axes[-1]:
+def _checked_caustic_params(lams, ell: Ellipsoid) -> CausticParams:
+    if lams[0] < _SINGULAR_TOL * ell.axes[-1]:
         raise NonTransverse(f"line misses or grazes the ellipsoid (lambda_1 = {lams[0]})")
-    return CausticParams.from_values(lams, ell, tol=tol)
+    return CausticParams.from_values(lams, ell)
 
 
-def caustic_params_of_line(q, p, ell: Ellipsoid, *, tol: float = 1e-12) -> CausticParams:
+def caustic_params_of_line(q, p, ell: Ellipsoid) -> CausticParams:
     """Caustic parameters of the line through q with direction p.
 
     ``caustic_params_of_lines`` on a stack of one line.
     """
     lams = caustic_params_of_lines(np.asarray(q, dtype=float)[None],
-                                   np.asarray(p, dtype=float)[None], ell, tol=tol)
-    return _checked_caustic_params(lams[0], ell, tol)
+                                   np.asarray(p, dtype=float)[None], ell)
+    return _checked_caustic_params(lams[0], ell)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .engine import Trajectory
-from .errors import UnsupportedDimension
-from .geometry import Ellipsoid, cartesian_to_elliptic, cuboid, elliptic_to_cartesian
+from .errors import NonGenericPoint, UnsupportedDimension
+from .geometry import Ellipsoid, cuboid, elliptic_coords, elliptic_to_cartesian
 
 _SQ3 = math.sqrt(3.0) / 2.0
 _ISO = np.array([[0.0, -1.0], [_SQ3, 0.5], [-_SQ3, 0.5]])
@@ -167,17 +167,18 @@ def _plot_cart_2d(t: Trajectory) -> str:
 
 
 def _plot_elliptic_2d(t: Trajectory, samples_per_chord: int = 96) -> str:
+    """Chords in elliptic coordinates; NonGenericPoint where a sample sits at a focus."""
     ell = t.ellipsoid
     box = cuboid(t.caustic, ell)
     (e0, e1), (h0, h1) = box.intervals
     rect = np.array([[e0, -h0], [e1, -h0], [e1, -h1], [e0, -h1], [e0, -h0]])
     elements = [_polyline(rect, OUTLINE_COLOR, 0.8, dashed=True)]
-    rows = []
-    for q0, q1 in zip(t.impacts[:-1], t.impacts[1:]):
-        for k in range(samples_per_chord + 1):
-            u = k / samples_per_chord
-            c = cartesian_to_elliptic(q0 + u * (q1 - q0), ell).coords
-            rows.append([c[0], -c[1]])
-    path = np.array(rows)
+    q0, q1 = t.impacts[:-1, None, :], t.impacts[1:, None, :]
+    u = (np.arange(samples_per_chord + 1) / samples_per_chord)[:, None]
+    points = (q0 + u * (q1 - q0)).reshape(-1, ell.dim)
+    mu, ok = elliptic_coords(points, ell)
+    if not ok.all():
+        raise NonGenericPoint(f"colliding elliptic coordinates at {points[np.argmin(ok)]}")
+    path = mu * (1.0, -1.0)
     elements.append(_polyline(path, TRAJECTORY_COLOR, 1.2))
     return _svg(elements, np.vstack([rect, path]))

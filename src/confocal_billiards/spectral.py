@@ -49,6 +49,8 @@ from .quadrature import _BASE_LEVEL, period_integrals
 from .symmetry import all_vertexes, reversor_of_vertex, seed_point_at_vertex
 
 _TOL_ENV = "CONFOCAL_QUAD_TOL"
+#: Share of a chord by which ``count_turning_events`` shifts its window back.
+_EDGE_FRAC = 1e-6
 
 
 def _quad_tol(tol: float | None) -> float:
@@ -201,15 +203,14 @@ def frequency_map(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) 
 # Empirical route (turning-point counting along iterated orbits)
 # --------------------------------------------------------------------------
 
-def count_turning_events(impacts: np.ndarray, lam: CausticParams,
-                         ell: Ellipsoid, *, closed: bool = False,
-                         edge_frac: float = 1e-6) -> tuple[np.ndarray, dict[str, int]]:
+def count_turning_events(impacts: np.ndarray, lam: CausticParams, ell: Ellipsoid, *,
+                         closed: bool = False) -> tuple[np.ndarray, dict[str, int]]:
     """Turning points of each elliptic coordinate along the chord sequence.
 
     Counts, per oscillation interval, the touches of its endpoints: an
     impact for the 0 face, a tangency parameter for caustic values, a
     hyperplane crossing for axis values.  Each chord counts events with
-    parameter in [-e T, (1-e) T), e = edge_frac: consecutive chords share
+    parameter in [-e T, (1-e) T), e = _EDGE_FRAC: consecutive chords share
     endpoints exactly, so these windows tile the orbit and events sitting
     at a chord boundary (vertex seeds) are counted exactly once even
     under roundoff.  ``closed`` snaps the last impact onto the first.
@@ -251,7 +252,7 @@ def count_turning_events(impacts: np.ndarray, lam: CausticParams,
                     tstar = np.where(np.abs(d[:, j]) > 1e-12, -q0[:, j] / d[:, j], np.inf)
                 key = f"plane_{j + 1}"
             events[key] = int(np.count_nonzero(
-                (tstar >= -edge_frac * T) & (tstar < (1.0 - edge_frac) * T)))
+                (tstar >= -_EDGE_FRAC * T) & (tstar < (1.0 - _EDGE_FRAC) * T)))
             counts[i] += events[key]
     return counts, events
 
@@ -331,10 +332,8 @@ def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
 
 
 def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
-                        samples_per_chord: int | None = None,
-                        start: PhasePoint | None = None,
-                        rng: np.random.Generator | None = None) -> FrequencyValue:
-    """Frequency estimate from an iterated orbit tangent to the caustics.
+                        samples_per_chord: int | None = None) -> FrequencyValue:
+    """Frequency estimate from the orbit of ``default_tangent_start``.
 
     With ``samples_per_chord`` unset, turning points are located exactly
     from per-chord tangency/crossing events (a batch of one); otherwise
@@ -342,8 +341,7 @@ def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
     extrema of the discrete series are counted (slower, kept as an
     independent route).  Error decays like O(1/bounces).
     """
-    if start is None:
-        start = default_tangent_start(lam, ell, rng)
+    start = default_tangent_start(lam, ell)
     if samples_per_chord is None:
         return empirical_frequency_batch([lam], ell, bounces, [start])[0]
     impacts = _impacts(start.q, start.p, ell.a, bounces)
@@ -370,7 +368,7 @@ def _edge_clustered_grid(lo: float, hi: float, per_edge: int = 14) -> np.ndarray
 
 
 def invert_frequency(target, ctype: str, ell: Ellipsoid,
-                     tol_omega: float = 1e-10, quad_tol: float | None = None) -> CausticParams:
+                     tol_omega: float = 1e-10) -> CausticParams:
     """Caustic parameters in the given component with the given frequencies.
 
     n = 1: bracketed bisection/secant on rho.  n >= 2: the product of the
@@ -386,28 +384,29 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
     meets an unconverged point counts as stalled, the first to converge
     wins, and if none does, NoSolutionInComponent names the six starts'
     best residual.  An inversion that succeeds from the six never reaches
-    this rescue.  Iterates stay 1e-9 inside.
+    this rescue.  Iterates stay 1e-9 inside.  The period integrals use
+    the tolerance of ``CONFOCAL_QUAD_TOL`` (default 1e-12).
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
     if len(target) != len(bounds):
         raise ValueError(f"target length {len(target)} != n = {len(bounds)}")
     if ell.n == 1:
-        return _invert_1d(target[0], ctype, ell, tol_omega, quad_tol)
-    return _invert_nd(np.array(target), ctype, ell, tol_omega, quad_tol)
+        return _invert_1d(target[0], ctype, ell, tol_omega)
+    return _invert_nd(np.array(target), ctype, ell, tol_omega)
 
 
-def _invert_1d(target: float, ctype: str, ell: Ellipsoid,
-               tol_omega: float, quad_tol: float | None) -> CausticParams:
+def _invert_1d(target: float, ctype: str, ell: Ellipsoid, tol_omega: float) -> CausticParams:
+    tol = _quad_tol(None)
     lo, hi = caustic_component_bounds(ctype, ell)[0]
     margin = 1e-9 * ell.axes[-1]
     lo, hi = lo + margin, hi - margin
 
     def f(x):
-        return rotation_number(CausticParams((x,), ctype), ell, quad_tol).omega[0] - target
+        return rotation_number(CausticParams((x,), ctype), ell, tol).omega[0] - target
 
     grid = _edge_clustered_grid(lo, hi, 17)
-    vals = _converged_omega(grid, ell, quad_tol)[0][:, 0] - target
+    vals = _converged_omega(grid, ell, tol)[0][:, 0] - target
     idx = None
     for k in range(len(grid) - 1):
         if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
@@ -435,8 +434,8 @@ def _invert_1d(target: float, ctype: str, ell: Ellipsoid,
     raise NoSolutionInComponent(f"bisection stalled at rho residual {fx}")
 
 
-def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
-               tol_omega: float, quad_tol: float | None) -> CausticParams:
+def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float) -> CausticParams:
+    tol = _quad_tol(None)
     bounds = np.array(caustic_component_bounds(ctype, ell))
     margin = 1e-9 * ell.axes[-1]
     # caustics i and i+1 in one axis interval (H1H1); by the interleaving
@@ -464,7 +463,6 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
     for i in shared:
         keep = ~(grid[:, i + 1] <= grid[:, i] + margin)
         grid, cells = grid[keep], cells[keep]
-    tol = _quad_tol(quad_tol)
     norms = _scan_norms(grid, target, ell, tol)
     order = np.lexsort((*grid.T[::-1], norms))[:6]      # by norm, then x1, x2, ...
     if not order.size or norms[order[0]] > 0.45:
@@ -478,7 +476,7 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid,
         lams, nrms, stuck = _newton(resid_rows, clip, grid[batch], bounds, tol_omega)
         for lam, nrm, point in zip(lams, nrms, stuck):
             if point is not None:
-                _converged_omega(point, ell, quad_tol)      # raises QuadratureNotConverged
+                _converged_omega(point, ell, tol)       # raises QuadratureNotConverged
             if nrm <= tol_omega:
                 return CausticParams(tuple(lam), ctype)
             best_norm = min(best_norm, nrm)

@@ -397,3 +397,88 @@ def test_atlas_summary_lists_rejected_shapes(tmp_path, capsys, monkeypatch):
     assert [e["rejected"] for e in summary["index"]] == [[]]
     assert summary["failures"] == [{"id": "EH2:R1+R13", "error": "Newton stalled", "rejected": [
         {"axes": [0.13, 0.45, 1.0], "error": "NoSolutionInComponent: Newton stalled"}] * 2}]
+
+
+def _other_e_class():
+    return next(c.class_id for c in engine.enumerate_classes(1)
+                if c.ctype == "E" and c.class_id != "E:Rx+fRx")
+
+
+@pytest.mark.parametrize("class_id", ["other E", "H:R+Rx", "EH1:R12+R2", "nonsense"])
+def test_verify_checks_the_class_id(class_id, triangle_text, tmp_path, capsys):
+    # another class of the same type, another type, another dimension,
+    # no class: each contradicts the orbit's type or visited vertexes
+    class_id = _other_e_class() if class_id == "other E" else class_id
+    traj = document.trajectory_from_document(json.loads(triangle_text))
+    assert engine.verify_trajectory(traj).passed
+    traj.class_id = class_id
+    failures = engine.verify_trajectory(traj).failures
+    assert len(failures) == 1 and failures[0].startswith("class")
+    doc = json.loads(triangle_text)
+    doc["class_id"] = class_id
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert json.loads(out)["failures"] == failures
+
+
+@pytest.mark.parametrize("how", ["doubled", "first_row"])
+def test_verify_checks_velocities_against_their_chords(how, triangle_text, tmp_path, capsys):
+    doc = json.loads(triangle_text)
+    v = doc["velocities"]
+    doc["velocities"] = [[2.0 * x for x in row] for row in v] if how == "doubled" else [v[0]] * len(v)
+    traj = document.trajectory_from_document(doc)
+    failures = engine.verify_trajectory(traj).failures
+    assert any(f.startswith("velocities off their chords") for f in failures)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert json.loads(out)["failures"] == failures
+
+
+def test_zero_length_chord_is_a_singular_line(triangle_text, tmp_path, capsys):
+    from confocal_billiards import SingularLine, caustic_params_of_line
+    from confocal_billiards.geometry import caustic_params_of_lines
+    ell = engine.STOCK_ELLIPSOID_2D
+    q = np.array([0.0, 1.0])
+    with pytest.raises(SingularLine, match="zero direction"):      # and no numpy warning
+        caustic_params_of_line(q, np.zeros(2), ell)
+    with pytest.raises(SingularLine, match="line 1 .* zero direction"):
+        caustic_params_of_lines([q, q], [[1.0, -1.0], [0.0, 0.0]], ell)
+    doc = json.loads(triangle_text)
+    doc["impacts"][1] = doc["impacts"][0]
+    with pytest.raises(SingularLine, match="zero direction"):
+        engine.verify_trajectory(document.trajectory_from_document(doc))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "SingularLine"
+
+
+@pytest.mark.parametrize("key, value", [("branch", 1.7), ("branch", True), ("branch", "x"),
+                                        ("branch", -1), ("branch", None),
+                                        ("class_id", [1, 2]), ("class_id", 3)])
+def test_document_branch_and_class_id_types(key, value, triangle_text, tmp_path, capsys):
+    doc = json.loads(triangle_text)
+    doc[key] = value
+    with pytest.raises(ValueError, match=key):
+        document.trajectory_from_document(doc)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValueError"
+
+
+def test_document_branch_and_class_id_defaults(triangle_text):
+    doc = json.loads(triangle_text)
+    del doc["branch"], doc["class_id"]
+    traj = document.trajectory_from_document(doc)
+    assert traj.branch == 0 and traj.class_id is None
+    doc["branch"] = 2
+    assert document.trajectory_from_document(doc).branch == 2
