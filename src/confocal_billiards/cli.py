@@ -64,8 +64,10 @@ def _build_parser() -> _Parser:
     p_list.add_argument("--dim", type=int, choices=(2, 3, 4), required=True)
     p_list.add_argument("--type", dest="ctype", default=None)
     p_list.add_argument("--json", action="store_true")
+    p_list.set_defaults(run=_cmd_classes)
 
     p_freq = sub.add_parser("freq", help="frequency map")
+    p_freq.set_defaults(run=_cmd_freq)
     sub_freq = p_freq.add_subparsers(dest="freq_command", required=True)
     p_eval = sub_freq.add_parser("eval", help="evaluate frequencies at caustic parameters")
     p_eval.add_argument("--axes", type=_parse_floats, required=True)
@@ -84,19 +86,23 @@ def _build_parser() -> _Parser:
     p_find.add_argument("--branch", type=int, default=0)
     p_find.add_argument("--no-polish", action="store_true")
     p_find.add_argument("--out", default=None)
+    p_find.set_defaults(run=_cmd_spt_find)
     p_atlas = sub_spt.add_parser("atlas", help="one minimal trajectory per class")
     p_atlas.add_argument("--out", required=True)
     p_atlas.add_argument("--axes2d", type=_parse_floats, default=None)
     p_atlas.add_argument("--flat", type=_parse_floats, default=None)
     p_atlas.add_argument("--thin", type=_parse_floats, default=None)
+    p_atlas.set_defaults(run=_cmd_spt_atlas)
 
     p_verify = sub.add_parser("verify", help="verify a trajectory file")
     p_verify.add_argument("file")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_plot = sub.add_parser("plot", help="render a trajectory file as SVG")
     p_plot.add_argument("file")
     p_plot.add_argument("--plane", default=None)
     p_plot.add_argument("--out", required=True)
+    p_plot.set_defaults(run=_cmd_plot)
     return top
 
 
@@ -217,19 +223,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "classes":
-            return _cmd_classes(args)
-        if args.command == "freq":
-            return _cmd_freq(args)
-        if args.command == "spt":
-            if args.spt_command == "find":
-                return _cmd_spt_find(args)
-            return _cmd_spt_atlas(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except BrokenPipeError:
         # the reader closed stdout: point its descriptor at the null device,
         # so that the flush at exit cannot raise again; no SIGPIPE handler,

@@ -93,10 +93,10 @@ def trajectory_from_document(doc: dict) -> Trajectory:
     The caustic goes through ``CausticParams.from_values`` and its stored
     type must match; ``winding`` must be dim positive integers,
     ``impacts`` and ``velocities`` finite arrays of shape
-    ``(winding[0] + 1, dim)``, ``branch`` (default 0) an integer >= 0 and
-    ``class_id`` (default null) a string or null.  A document that fails
-    raises ValueError (or the BilliardError of the caustic check), never
-    a wrong trajectory.
+    ``(winding[0] + 1, dim)``, ``branch`` (default 0) an integer in
+    [0, 2^dim), the range of the vertex seeds, and ``class_id`` (default
+    null) a string or null.  A document that fails raises ValueError (or
+    the BilliardError of the caustic check), never a wrong trajectory.
     """
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         schema = doc.get("schema") if isinstance(doc, dict) else doc
@@ -120,8 +120,8 @@ def trajectory_from_document(doc: dict) -> Trajectory:
     for key, arr in rows.items():
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise ValueError(f"{key} must be finite with shape {shape}, got {arr.shape}")
-    if type(branch) is not int or branch < 0:
-        raise ValueError(f"branch {branch!r} is not an integer >= 0")
+    if type(branch) is not int or not 0 <= branch < 2 ** ell.dim:
+        raise ValueError(f"branch {branch!r} is not an integer in [0, {2 ** ell.dim})")
     if class_id is not None and not isinstance(class_id, str):
         raise ValueError(f"class_id {class_id!r} is not a string or null")
     return Trajectory(

@@ -102,8 +102,7 @@ def _minimal_with_congruences(congruences) -> WindingNumbers:
     for i in reversed(range(len(congruences))):
         r, mod = congruences[i]
         v = max(2, prev + 1)
-        while v % mod != r % mod:
-            v += 1
+        v += (r - v) % mod
         ms[i] = v
         prev = v
     return WindingNumbers(tuple(ms))
@@ -341,7 +340,7 @@ def verify_trajectory(t: Trajectory) -> VerificationReport:
             memberships[r.key] = hits.tolist()
 
     family_counts: dict[str, int] = {}
-    two_point_ok = True
+    law: list[str] = []
     for sigma_key in sorted({r.key.removeprefix("f") for r in reversors}):
         tilde_hits = memberships.get(sigma_key, [])
         hat_hits = memberships.get("f" + sigma_key, [])
@@ -350,14 +349,12 @@ def verify_trajectory(t: Trajectory) -> VerificationReport:
             continue
         family_counts[sigma_key] = total
         if total != 2:
-            two_point_ok = False
-            failures.append(f"family {sigma_key}: {total} symmetry points (expected 2)")
+            law.append(f"family {sigma_key}: {total} symmetry points (expected 2)")
         elif m0 % 2 == 1 and not (len(tilde_hits) == 1 and len(hat_hits) == 1):
-            two_point_ok = False
-            failures.append(f"family {sigma_key}: odd period needs one point per set")
+            law.append(f"family {sigma_key}: odd period needs one point per set")
         elif m0 % 2 == 0 and (len(tilde_hits) not in (0, 2)):
-            two_point_ok = False
-            failures.append(f"family {sigma_key}: even period needs both points on one set")
+            law.append(f"family {sigma_key}: even period needs both points on one set")
+    failures += law
 
     vtol = VERTEX_TOL * max(1.0, ell.axes[-1])
     vertex_visits: list[dict] = []
@@ -397,7 +394,7 @@ def verify_trajectory(t: Trajectory) -> VerificationReport:
         cuboid_excursion=excursion,
         memberships=memberships,
         family_counts=family_counts,
-        two_point_law_ok=two_point_ok,
+        two_point_law_ok=not law,
         doubly_symmetric=len(memberships) >= 2,
         vertex_visits=vertex_visits,
         visited_masks=masks,

@@ -31,6 +31,9 @@ OUTLINE_COLOR = "#000000"
 
 PLANES_3D = ("3d", "pi1", "pi2", "pi3")
 PLANES_2D = ("cart", "elliptic")
+#: Samples of an ellipse section, of a hyperboloid caustic's trace per
+#: octant, and of each chord in the elliptic plane.
+_SECTION_SAMPLES, _TRACE_SAMPLES, _CHORD_SAMPLES = 256, 64, 96
 
 
 def _project(points: np.ndarray, plane: str) -> np.ndarray:
@@ -55,17 +58,17 @@ def _polyline(points2d: np.ndarray, color: str, width: float = 1.5,
             f'{dash} points="{pts}" />')
 
 
-def _ellipse_section(ell: Ellipsoid, fixed_axis: int, samples: int = 256) -> np.ndarray:
+def _ellipse_section(ell: Ellipsoid, fixed_axis: int) -> np.ndarray:
     """Coordinate section of the ellipsoid with x_fixed = 0 (3D)."""
     idx = [j for j in range(3) if j != fixed_axis]
-    th = np.linspace(0.0, 2.0 * math.pi, samples + 1)
-    pts = np.zeros((samples + 1, 3))
+    th = np.linspace(0.0, 2.0 * math.pi, _SECTION_SAMPLES + 1)
+    pts = np.zeros((_SECTION_SAMPLES + 1, 3))
     pts[:, idx[0]] = math.sqrt(ell.axes[idx[0]]) * np.cos(th)
     pts[:, idx[1]] = math.sqrt(ell.axes[idx[1]]) * np.sin(th)
     return pts
 
 
-def _caustic_traces(t: Trajectory, samples: int = 512) -> list[tuple[np.ndarray, str]]:
+def _caustic_traces(t: Trajectory) -> list[tuple[np.ndarray, str]]:
     """Intersections of the ellipsoid with hyperboloid caustics, plus the
     sections of an ellipsoidal caustic, as 3D polylines with colors."""
     ell = t.ellipsoid
@@ -75,14 +78,14 @@ def _caustic_traces(t: Trajectory, samples: int = 512) -> list[tuple[np.ndarray,
         if lam_val < a[0]:      # ellipsoidal caustic: draw its sections
             sub = Ellipsoid(tuple(v - lam_val for v in a))
             for j in range(3):
-                out.append((_ellipse_section(sub, j, samples // 2), E_COLOR))
+                out.append((_ellipse_section(sub, j), E_COLOR))
             continue
         if lam_val < a[1]:      # one-sheet hyperboloid: surface points with h1 = lam
-            grid = np.linspace(a[1], a[2], samples // 8)
+            grid = np.linspace(a[1], a[2], _TRACE_SAMPLES)
             color = H1_COLOR
             mus = [(0.0, lam_val, h2) for h2 in grid]
         else:                   # two-sheet: surface points with h2 = lam
-            grid = np.linspace(a[0], a[1], samples // 8)
+            grid = np.linspace(a[0], a[1], _TRACE_SAMPLES)
             color = H2_COLOR
             mus = [(0.0, h1, lam_val) for h1 in grid]
         for signs in [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]:
@@ -166,7 +169,7 @@ def _plot_cart_2d(t: Trajectory) -> str:
     return _svg(elements, np.vstack([_project(outline, "cart"), traj]))
 
 
-def _plot_elliptic_2d(t: Trajectory, samples_per_chord: int = 96) -> str:
+def _plot_elliptic_2d(t: Trajectory) -> str:
     """Chords in elliptic coordinates; NonGenericPoint where a sample sits at a focus."""
     ell = t.ellipsoid
     box = cuboid(t.caustic, ell)
@@ -174,7 +177,7 @@ def _plot_elliptic_2d(t: Trajectory, samples_per_chord: int = 96) -> str:
     rect = np.array([[e0, -h0], [e1, -h0], [e1, -h1], [e0, -h1], [e0, -h0]])
     elements = [_polyline(rect, OUTLINE_COLOR, 0.8, dashed=True)]
     q0, q1 = t.impacts[:-1, None, :], t.impacts[1:, None, :]
-    u = (np.arange(samples_per_chord + 1) / samples_per_chord)[:, None]
+    u = (np.arange(_CHORD_SAMPLES + 1) / _CHORD_SAMPLES)[:, None]
     points = (q0 + u * (q1 - q0)).reshape(-1, ell.dim)
     mu, ok = elliptic_coords(points, ell)
     if not ok.all():

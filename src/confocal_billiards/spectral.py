@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .geometry import (
+    _SINGULAR_TOL,
     CausticParams,
     Ellipsoid,
     cartesian_to_elliptic,
@@ -43,6 +44,7 @@ from .geometry import (
     caustic_type,
     cuboid,
     elliptic_coords,
+    elliptic_to_cartesian,
     tangent_directions,
 )
 from .quadrature import _BASE_LEVEL, period_integrals
@@ -129,14 +131,18 @@ class FrequencyValue:
 # Quadrature route
 # --------------------------------------------------------------------------
 
-def _check_nonsingular(lams: np.ndarray, ell: Ellipsoid, tol: float = 1e-12):
-    """Raise SingularCaustic if any row of lams (N, n) is near 0, an axis or its neighbour."""
-    scale = ell.axes[-1]
+def _check_nonsingular(lams: np.ndarray, ell: Ellipsoid):
+    """Raise SingularCaustic if any row of lams (N, n) is near 0, an axis or its neighbour.
+
+    Near means within ``_SINGULAR_TOL * a_max``.
+    """
+    eps = _SINGULAR_TOL * ell.axes[-1]
     sing = np.array((0.0,) + ell.axes)
-    near = np.min(np.abs(lams[:, :, None] - sing), axis=2) < tol * scale
+    near = np.min(np.abs(lams[:, :, None] - sing), axis=2) < eps
     if np.any(near):
-        raise SingularCaustic(f"caustic parameter {lams[near][0]} within {tol} of a singular value")
-    if ell.n > 1 and np.any(lams[:, 1:] - lams[:, :-1] < tol * scale):
+        raise SingularCaustic(
+            f"caustic parameter {lams[near][0]} within {_SINGULAR_TOL} of a singular value")
+    if ell.n > 1 and np.any(lams[:, 1:] - lams[:, :-1] < eps):
         raise SingularCaustic("coinciding caustic parameters")
 
 
@@ -267,19 +273,29 @@ def count_windings(impacts: np.ndarray, lam: CausticParams, ell: Ellipsoid) -> t
 
 def default_tangent_start(lam: CausticParams, ell: Ellipsoid,
                           rng: np.random.Generator | None = None) -> PhasePoint:
-    """Deterministic (or randomized) phase point tangent to the caustics."""
+    """Phase point tangent to the caustics: a fixed vertex seed, or a random one.
+
+    With ``rng`` unset, the seed at the tilde vertex of the first reversor
+    key.  Otherwise the start is drawn in closed form: elliptic
+    coordinates mu_0 = 0 (the surface) and mu_i uniform on the
+    oscillation intervals I_i of ``cuboid``, random octant signs, and one
+    of the ``tangent_directions`` there, picked at random.  Only the
+    caustic values are read, not the type tag.  Raises
+    NoSolutionInComponent when that point has no tangent direction.
+    """
     if rng is None:
         # the tilde vertex (mask[0] = 0) of the first reversor key, outer
         # tag first: a reversor's vertexes differ only in their tag bits
         v = min((v for v in all_vertexes(ell.dim) if not v.mask[0]),
                 key=lambda v: (reversor_of_vertex(v, lam.ctype)[0].key, v.mask))
         return seed_point_at_vertex(v, lam, ell)
-    for _ in range(500):
-        q = ell.surface_point(rng.normal(size=ell.dim))
-        dirs = tangent_directions(q, lam, ell)
-        if dirs:
-            return PhasePoint(tuple(q), tuple(dirs[int(rng.integers(len(dirs)))]))
-    raise NoSolutionInComponent(f"found no tangent line for {lam}")
+    box = cuboid(lam, ell)
+    mu = [0.0] + [rng.uniform(lo, hi) for lo, hi in box.intervals[1:]]
+    q = elliptic_to_cartesian(mu, ell, rng.choice((-1.0, 1.0), ell.dim))
+    dirs = tangent_directions(q, lam, ell)
+    if not dirs:
+        raise NoSolutionInComponent(f"found no tangent line for {lam}")
+    return PhasePoint(tuple(q), tuple(dirs[int(rng.integers(len(dirs)))]))
 
 
 def sample_elliptic_path(impacts: np.ndarray, ell: Ellipsoid,
@@ -293,20 +309,6 @@ def sample_elliptic_path(impacts: np.ndarray, ell: Ellipsoid,
     t = (np.arange(samples_per_chord) / samples_per_chord)[:, None]
     mu, ok = elliptic_coords((q0 + t * (q1 - q0)).reshape(-1, ell.dim), ell)
     return mu[ok]
-
-
-def _count_oscillations_sampled(series: np.ndarray, closed: bool) -> float:
-    """Half the number of sign changes of the discrete derivative."""
-    diffs = np.diff(series)
-    if closed:
-        diffs = np.append(diffs, series[0] - series[-1])
-    diffs = diffs[np.abs(diffs) > 1e-13]
-    if len(diffs) < 2:
-        return 0.0
-    sign_changes = int(np.count_nonzero(np.diff(np.sign(diffs)) != 0))
-    if closed and np.sign(diffs[0]) != np.sign(diffs[-1]):
-        sign_changes += 1
-    return 0.5 * sign_changes
 
 
 def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
@@ -331,24 +333,13 @@ def empirical_frequency_batch(lams, ell: Ellipsoid, bounces: int,
     return out
 
 
-def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000,
-                        samples_per_chord: int | None = None) -> FrequencyValue:
-    """Frequency estimate from the orbit of ``default_tangent_start``.
+def empirical_frequency(lam: CausticParams, ell: Ellipsoid, bounces: int = 2000) -> FrequencyValue:
+    """Event-counting estimate from the orbit of ``default_tangent_start``.
 
-    With ``samples_per_chord`` unset, turning points are located exactly
-    from per-chord tangency/crossing events (a batch of one); otherwise
-    the elliptic coordinates are sampled along each chord and local
-    extrema of the discrete series are counted (slower, kept as an
-    independent route).  Error decays like O(1/bounces).
+    ``empirical_frequency_batch`` for one caustic from the vertex seed;
+    the error decays like O(1/bounces).
     """
-    start = default_tangent_start(lam, ell)
-    if samples_per_chord is None:
-        return empirical_frequency_batch([lam], ell, bounces, [start])[0]
-    impacts = _impacts(start.q, start.p, ell.a, bounces)
-    path = sample_elliptic_path(impacts, ell, samples_per_chord)
-    osc = np.array([_count_oscillations_sampled(path[:, i], closed=False)
-                    for i in range(1, ell.dim)])
-    return FrequencyValue(tuple(float(v) for v in osc / (2.0 * bounces)), 2.0 / bounces)
+    return empirical_frequency_batch([lam], ell, bounces, [default_tangent_start(lam, ell)])[0]
 
 
 # --------------------------------------------------------------------------

@@ -69,12 +69,9 @@ def all_vertexes(dim: int) -> list[CuboidVertex]:
             for k in range(2 ** dim)]
 
 
-def _ctype_of(lam_or_ctype) -> str:
-    return getattr(lam_or_ctype, "ctype", lam_or_ctype)
-
-
-def reversor_of_vertex(v: CuboidVertex, lam_or_ctype) -> tuple[Reversor, str]:
-    """Reversor of a vertex plus its o/i tag.
+@cache
+def reversor_of_vertex(v: CuboidVertex, ctype: str) -> tuple[Reversor, str]:
+    """Reversor of a vertex for the caustic type ``ctype``, plus its o/i tag.
 
     The tag has one letter per oscillation interval bounded by two
     caustics (two caustic parameters between the same pair of axes, as in
@@ -83,11 +80,6 @@ def reversor_of_vertex(v: CuboidVertex, lam_or_ctype) -> tuple[Reversor, str]:
     tag is empty for types without such intervals.  Cached per (vertex,
     caustic type).
     """
-    return _vertex_reversor(v, _ctype_of(lam_or_ctype))
-
-
-@cache
-def _vertex_reversor(v: CuboidVertex, ctype: str) -> tuple[Reversor, str]:
     kinds = v.kinds(ctype)
     family = "tilde" if kinds[0] == "0" else "hat"
     axes = [int(k[1:]) - 1 for k in kinds if k.startswith("A")]
@@ -96,13 +88,12 @@ def _vertex_reversor(v: CuboidVertex, ctype: str) -> tuple[Reversor, str]:
     return Reversor(family, Reflection.flipping(axes, v.dim)), tag
 
 
-def vertex_of_reversor(r: Reversor, lam_or_ctype, side: str | None = None) -> CuboidVertex:
-    """Vertex associated to a reversor for the given caustic type.
+def vertex_of_reversor(r: Reversor, ctype: str, side: str | None = None) -> CuboidVertex:
+    """Vertex associated to a reversor for the caustic type ``ctype``.
 
     Where a reversor owns several vertexes (H1H1 and its relatives),
     ``side``, the o/i tag of ``reversor_of_vertex``, picks one.
     """
-    ctype = _ctype_of(lam_or_ctype)
     matches = []
     for v in all_vertexes(r.sigma.dim):
         rv, tag = reversor_of_vertex(v, ctype)

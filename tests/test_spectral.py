@@ -22,7 +22,6 @@ from confocal_billiards import (
     WindingNumbers,
     count_windings,
     cuboid,
-    empirical_frequency,
     even_required,
     frequency_map,
     invert_frequency,
@@ -35,7 +34,11 @@ from confocal_billiards import (
 from confocal_billiards import quadrature, spectral
 from confocal_billiards.dynamics import reversor_from_key
 from confocal_billiards.engine import ATLAS_FALLBACK_SHAPES
-from confocal_billiards.geometry import caustic_component_bounds
+from confocal_billiards.geometry import (
+    caustic_component_bounds,
+    caustic_params_of_line,
+    caustic_types,
+)
 from confocal_billiards.spectral import (
     default_tangent_start,
     empirical_frequency_batch,
@@ -210,11 +213,23 @@ def test_frequency_map_matches_event_counting_in_four_dimensions():
     assert np.max(np.abs(np.subtract(lam.lambdas, lams[0].lambdas))) < 1e-8
 
 
-def test_sampled_estimator_agrees_with_event_counting(ell_mid):
-    lam = CausticParams.from_values((0.2, 0.6), ell_mid)
-    ev = empirical_frequency(lam, ell_mid, bounces=400)
-    sampled = empirical_frequency(lam, ell_mid, bounces=400, samples_per_chord=48)
-    assert max(abs(a - b) for a, b in zip(ev.omega, sampled.omega)) < 5e-3
+@pytest.mark.parametrize("axes", [(0.16, 1.0), (0.13, 0.8, 1.0), (0.1, 0.3, 0.6, 1.0)])
+def test_random_tangent_starts_touch_the_caustics(axes):
+    ell = Ellipsoid(axes)
+    for ctype in caustic_types(ell.n):
+        bounds = caustic_component_bounds(ctype, ell)
+        lam = CausticParams.from_values(
+            [lo + (k + 1) / (ell.n + 1) * (hi - lo) for k, (lo, hi) in enumerate(bounds)], ell)
+        assert lam.ctype == ctype
+        for seed in range(20):
+            start = default_tangent_start(lam, ell, np.random.default_rng(seed))
+            assert start == default_tangent_start(lam, ell, np.random.default_rng(seed))
+            q, p = np.array(start.q), np.array(start.p)
+            assert abs(float(q @ (q / ell.a)) - 1.0) <= 1e-12
+            assert abs(float(p @ p) - 1.0) <= 1e-12
+            assert float(ell.normal(q) @ p) > 0.0
+            got = caustic_params_of_line(q, p, ell).lambdas
+            assert np.max(np.abs(np.subtract(got, lam.lambdas))) <= 1e-9
 
 
 def test_orbit_stays_in_cuboid(ell_mid):

@@ -98,12 +98,12 @@ def collect(seeds, items: int) -> dict:
 
 
 def collect_atlas() -> dict:
-    from confocal_billiards import minimal_atlas, verify_trajectory
+    from confocal_billiards import minimal_atlas
 
     atlas = minimal_atlas()
     classes = {}
     for t in atlas.trajectories:
-        report = t.report or verify_trajectory(t)
+        report = t.report
         classes[t.class_id] = {
             "axes": t.ellipsoid.axes,
             "lambdas": t.caustic.lambdas,
