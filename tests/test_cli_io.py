@@ -460,8 +460,8 @@ def test_zero_length_chord_is_a_singular_line(triangle_text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("branch", 1.7), ("branch", True), ("branch", "x"),
-                                        ("branch", -1), ("branch", None), ("branch", 4),
-                                        ("class_id", [1, 2]), ("class_id", 3)])
+                                        ("branch", -1), ("branch", None),
+                                        ("class_id", [1, 2]), ("class_id", 3), ("branch", 4)])
 def test_document_branch_and_class_id_types(key, value, triangle_text, tmp_path, capsys):
     doc = json.loads(triangle_text)
     doc[key] = value
