@@ -204,9 +204,27 @@ def _cmd_spt_atlas(args) -> int:
     return 0 if result.complete else VERIFY_EXIT
 
 
+#: How far a document's stored figures may lie from the values recomputed
+#: from its rows: absolute for the closure residual, relative for the length.
+_STORED_CLOSURE_ATOL = 1e-12
+_STORED_LENGTH_RTOL = 1e-12
+
+
+def _stored_figure_failures(traj, doc: dict) -> list[str]:
+    """A failure line for each stored figure that the trajectory's rows contradict."""
+    out = []
+    for key, value, tol in (("closure_residual", traj.closure_residual, _STORED_CLOSURE_ATOL),
+                            ("length", traj.length, _STORED_LENGTH_RTOL * traj.length)):
+        stored = doc.get(key, value)        # an absent figure is not checked
+        if not (type(stored) in (int, float) and abs(stored - value) <= tol):
+            out.append(f"stored {key} {stored!r} != {value!r} recomputed from the rows")
+    return out
+
+
 def _cmd_verify(args) -> int:
-    traj, _ = document.load_trajectory(args.file)
+    traj, doc = document.load_trajectory(args.file)
     report = verify_trajectory(traj)
+    report.failures += _stored_figure_failures(traj, doc)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else VERIFY_EXIT
 

@@ -323,7 +323,12 @@ def verify_trajectory(t: Trajectory) -> VerificationReport:
     winding_counts = tuple(int(c) // 2 for c in counts)
     odd = bool(np.any(counts % 2))
     winding_match = (not odd) and winding_counts == t.winding.m
-    if not winding_match:
+    if odd:
+        raw = tuple(int(c) for c in counts)
+        where = ", ".join(f"I_{i}" for i in np.flatnonzero(counts % 2))
+        failures.append(f"turning counts {raw} are odd on {where}, so they halve to "
+                        f"no winding counts")
+    elif not winding_match:
         failures.append(f"winding counts {winding_counts} != prescribed {t.winding.m}")
 
     box = cuboid(lam, ell)

@@ -377,6 +377,13 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
     best residual.  An inversion that succeeds from the six never reaches
     this rescue.  Iterates stay 1e-9 inside.  The period integrals use
     the tolerance of ``CONFOCAL_QUAD_TOL`` (default 1e-12).
+
+    The grid and its level-4 rows do not depend on the target, so the
+    last n >= 2 inversion's are kept, read-only, and reused when the
+    next one has the same type, axes and tolerance (``_grid_scan``): a
+    sweep of targets on one component pays for that pass once.  Only
+    one scan is held, at most about 40 KB for n = 2 and 1.4 MB for
+    n = 3; the result is the same bits either way.
     """
     target = tuple(float(t) for t in (target if hasattr(target, "__len__") else (target,)))
     bounds = caustic_component_bounds(ctype, ell)
@@ -448,13 +455,8 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
         omega, _, ok = _omega_rows(lams, ell, tol)
         return omega - target, ok
 
-    mesh = np.meshgrid(*(_edge_clustered_grid(lo, hi) for lo, hi in bounds), indexing="ij")
-    grid = np.column_stack([x.ravel() for x in mesh])
-    cells = np.arange(len(grid))        # each row's cell in the product grid
-    for i in shared:
-        keep = ~(grid[:, i + 1] <= grid[:, i] + margin)
-        grid, cells = grid[keep], cells[keep]
-    norms = _scan_norms(grid, target, ell, tol)
+    grid, cells, shape, level4 = _grid_scan(ctype, ell, bounds, shared, margin, tol)
+    norms = _scan_norms(grid, target, ell, tol, level4)
     order = np.lexsort((*grid.T[::-1], norms))[:6]      # by norm, then x1, x2, ...
     if not order.size or norms[order[0]] > 0.45:
         raise NoSolutionInComponent(
@@ -475,7 +477,7 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
     # every start stalled: Newton from the scan's other local minima, in
     # one lock-step batch, where a start that meets an unconverged point
     # counts as stalled; the first to converge wins
-    rescue = _local_minima(norms, cells, mesh[0].shape)
+    rescue = _local_minima(norms, cells, shape)
     rescue = rescue[~np.isin(rescue, order)]
     if rescue.size:
         rescue = rescue[np.lexsort((*grid[rescue].T[::-1], norms[rescue]))]
@@ -487,7 +489,43 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
 
 
-def _scan_norms(grid, target, ell: Ellipsoid, tol: float) -> np.ndarray:
+#: The last ``_grid_scan``: ((ctype, axes, tol), grid, cells, shape,
+#: (omega, err, final)), or None.  Replaced whole, never changed in place.
+_LAST_SCAN = None
+
+
+def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float, tol: float):
+    """The scan grid of a component and its rows at quadrature level 4.
+
+    Returns (grid, cells, shape, (omega, err, final)): the product of the
+    per-axis edge-clustered grids as rows, each row's cell in that
+    product of the given shape (the ordered filter drops the rows with
+    x_{i+1} <= x_i + margin of each shared pair i), and ``_omega_rows``
+    of the grid at level ``_BASE_LEVEL + 1``.  None of it depends on the
+    target, so the last call's result is kept, read-only, and returned
+    again for the same (ctype, axes, tol); a call with another key
+    computes it afresh and replaces it.  The name is read once and
+    assigned whole, so concurrent callers at worst recompute.
+    """
+    global _LAST_SCAN
+    key = (ctype, ell.axes, tol)
+    scan = _LAST_SCAN
+    if scan is None or scan[0] != key:
+        mesh = np.meshgrid(*(_edge_clustered_grid(lo, hi) for lo, hi in bounds), indexing="ij")
+        grid = np.column_stack([x.ravel() for x in mesh])
+        cells = np.arange(len(grid))        # each row's cell in the product grid
+        for i in shared:
+            keep = ~(grid[:, i + 1] <= grid[:, i] + margin)
+            grid, cells = grid[keep], cells[keep]
+        level4 = _omega_rows(grid, ell, tol, max_level=_BASE_LEVEL + 1)
+        for arr in (grid, cells) + level4:
+            arr.setflags(write=False)
+        scan = (key, grid, cells, mesh[0].shape, level4)
+        _LAST_SCAN = scan
+    return scan[1:]
+
+
+def _scan_norms(grid, target, ell: Ellipsoid, tol: float, level4=None) -> np.ndarray:
     """Residual norms of the scan grid, exact wherever they can rank among six.
 
     Every row goes to level ``_BASE_LEVEL + 1``, the first with an error
@@ -503,9 +541,13 @@ def _scan_norms(grid, target, ell: Ellipsoid, tol: float) -> np.ndarray:
     exact, and every row left at level 4 lies, with its bound, above
     them, so a sort of the norms starts with the same six rows as a sort
     of the exact ones.  A row that misses the tolerance at the finest
-    level gets an infinite norm.
+    level gets an infinite norm.  ``level4`` is the grid's level-4
+    (omega, err, final), when already known; it is read, not changed.
     """
-    omega, err, final = _omega_rows(grid, ell, tol, max_level=_BASE_LEVEL + 1)
+    if level4 is None:
+        level4 = _omega_rows(grid, ell, tol, max_level=_BASE_LEVEL + 1)
+    omega, err, final = level4
+    final = final.copy()
     norms = np.max(np.abs(omega - target), axis=1)
     bound = np.where(final, 0.0, err)
     while True:

@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from confocal_billiards import Ellipsoid, minimal_atlas, verify_trajectory
+from confocal_billiards import Ellipsoid, minimal_atlas, spectral, verify_trajectory
 
 # property tests replay the same examples on every run and keep no
 # example database; each test sets its own max_examples
 settings.register_profile("repo", deadline=None, derandomize=True, database=None)
 settings.load_profile("repo")
+
+
+@pytest.fixture(autouse=True)
+def no_cached_scan():
+    """Each test starts and ends without a kept inversion scan.
+
+    Tests that count or patch ``spectral._omega_rows`` must see the scan
+    computed, and a patched scan must not reach later tests.
+    """
+    spectral._LAST_SCAN = None
+    yield
+    spectral._LAST_SCAN = None
 
 
 @pytest.fixture

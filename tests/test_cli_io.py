@@ -482,3 +482,40 @@ def test_document_branch_and_class_id_defaults(triangle_text):
     assert traj.branch == 0 and traj.class_id is None
     doc["branch"] = 2
     assert document.trajectory_from_document(doc).branch == 2
+
+
+@pytest.mark.parametrize("stored", [{"closure_residual": 5.0}, {"length": -1.0},
+                                    {"closure_residual": 5.0, "length": -1.0},
+                                    {"length": "1.5"}])
+def test_verify_checks_stored_figures(stored, triangle_text, tmp_path, capsys):
+    # the reader still loads the document; verify fails each stored figure
+    # that the impacts and velocities contradict, naming both values
+    doc = json.loads(triangle_text)
+    traj = document.trajectory_from_document(doc)
+    doc.update(stored)
+    assert not engine.verify_trajectory(document.trajectory_from_document(doc)).failures
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    recomputed = {"closure_residual": traj.closure_residual, "length": traj.length}
+    assert json.loads(out)["failures"] == [
+        f"stored {key} {doc[key]!r} != {recomputed[key]!r} recomputed from the rows"
+        for key in ("closure_residual", "length") if key in stored]
+
+
+def test_verify_accepts_stored_figures_within_tolerance(triangle_text, tmp_path, capsys):
+    doc = json.loads(triangle_text)
+    doc["closure_residual"] += 9e-13
+    doc["length"] *= 1.0 + 9e-13
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["failures"] == []
+
+
+def test_atlas_documents_keep_their_stored_figures(atlas):
+    # each atlas document, written and read back, matches its own rows
+    for t in atlas.trajectories:
+        doc = json.loads(document.dumps(document.trajectory_to_document(t, t.report)))
+        assert cli._stored_figure_failures(document.trajectory_from_document(doc), doc) == []

@@ -26,6 +26,7 @@ from confocal_billiards.dynamics import reversor_from_key
 from confocal_billiards.engine import Trajectory
 from confocal_billiards.geometry import caustic_types
 from confocal_billiards.errors import QuadratureNotConverged, SingularCaustic
+from confocal_billiards.spectral import count_turning_events
 from confocal_billiards.symmetry import symmetry_set_contains
 
 # --- the published classification catalogs --------------------------------
@@ -279,6 +280,23 @@ def test_verify_negative_control(ell_mid):
     rep = verify_trajectory(broken)
     assert not rep.passed
     assert any("caustic" in f for f in rep.failures)
+
+
+def test_odd_turning_counts_are_named(ell2d):
+    # the first two chords of a period-6 orbit, closed by a third back to
+    # the start: a raw count is odd, and halving the counts gives the
+    # prescribed winding numbers, so the failure must name the raw counts
+    t = find_spt(class_by_id("E:Ry+fRx", 1), ell2d)
+    rows = np.r_[0:3, 0]
+    short = Trajectory(ellipsoid=ell2d, caustic=t.caustic, winding=WindingNumbers((3, 1)),
+                       impacts=t.impacts[rows], velocities=t.velocities[rows])
+    counts, _ = count_turning_events(short.impacts, t.caustic, ell2d, closed=True)
+    assert counts.tolist() == [6, 3]
+    rep = verify_trajectory(short)
+    assert rep.winding_counts == (3, 1) and not rep.winding_match
+    assert "turning counts (6, 3) are odd on I_1, so they halve to no winding counts" \
+        in rep.failures
+    assert not any(f.startswith("winding counts") for f in rep.failures)
 
 
 def test_poncelet_property(ell_mid, rng):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +560,83 @@ def test_golden_inversion_scans_in_batches(monkeypatch, ctype, m, axes):
     assert stages == ["level 4"] + ["full"] * len(full) + ["newton"] * (len(calls) - 1 - len(full))
     assert len(full) == 1 and full[0] <= full_rows
     assert 0 < stages.count("newton") <= newton_calls
+
+
+#: Inversions in a row, each (type, caustic parameters it inverts back to,
+#: axes) and whether it finds the previous one's scan: two targets on one
+#: key (H1H1 has the ordered filter), another type, another shape, back to
+#: the first key (one scan is kept), then two targets of one R^4 type.
+SWEEP = [
+    ("H1H1", (0.3, 0.5), (0.13, 0.8, 1.0), False),
+    ("H1H1", (0.2, 0.6), (0.13, 0.8, 1.0), True),
+    ("EH1", (0.05, 0.5), (0.13, 0.8, 1.0), False),
+    ("H1H1", (0.2, 0.35), (0.13, 0.45, 1.0), False),
+    ("H1H1", (0.3, 0.5), (0.13, 0.8, 1.0), False),
+    ("EH1H2", (0.05, 0.2, 0.45), (0.1, 0.3, 0.6, 1.0), False),
+    ("EH1H2", (0.03, 0.15, 0.5), (0.1, 0.3, 0.6, 1.0), True),
+]
+
+
+def _sweep_case(ctype, lams, axes):
+    ell = Ellipsoid(axes)
+    return spectral.frequencies(CausticParams(lams, ctype), ell).omega, ctype, ell
+
+
+def _cold_outcome(target, ctype, ell):
+    spectral._LAST_SCAN = None
+    return _inversion_outcome(target, ctype, ell)
+
+
+def test_scan_reuse_is_bit_identical(monkeypatch):
+    # each inversion gives the bits it gives with no scan kept, and only
+    # the ones that follow their own key skip the level-4 pass
+    cases = [_sweep_case(*case[:3]) for case in SWEEP]
+    cold = [_cold_outcome(*case) for case in cases]
+    assert all(isinstance(lam, tuple) for lam in cold)
+    spectral._LAST_SCAN = None
+    calls = _count_omega_rows(monkeypatch)
+    for case, want, (*_, reused) in zip(cases, cold, SWEEP):
+        del calls[:]
+        assert _inversion_outcome(*case) == want
+        assert [stage for stage, _ in calls].count("level 4") == (0 if reused else 1)
+
+
+def test_scan_is_not_reused_across_quadrature_tolerances(monkeypatch):
+    target, ctype, ell = _sweep_case(*SWEEP[0][:3])
+    calls = _count_omega_rows(monkeypatch)
+    invert_frequency(target, ctype, ell)
+    monkeypatch.setenv("CONFOCAL_QUAD_TOL", "1e-11")
+    del calls[:]
+    invert_frequency(target, ctype, ell)
+    assert [stage for stage, _ in calls].count("level 4") == 1
+    assert spectral._LAST_SCAN[0] == (ctype, ell.axes, 1e-11)
+
+
+def test_kept_scan_is_read_only():
+    invert_frequency(*_sweep_case(*SWEEP[0][:3]))
+    _, grid, cells, _, level4 = spectral._LAST_SCAN
+    for arr in (grid, cells) + level4:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+
+
+def test_concurrent_inversions_match_sequential_ones():
+    # more threads than cores, switching often, take turns replacing the
+    # one kept scan; each gets the lambda of a sequential inversion
+    cases = [_sweep_case(*case[:3]) for case in SWEEP[:5]]
+    want = [_cold_outcome(*case) for case in cases]
+    runs = [[0, 1, 0, 1], [2, 3, 2, 4], [1, 2, 4, 0], [3, 3, 1, 2]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(runs)) as pool:
+            futures = [pool.submit(lambda run: [_inversion_outcome(*cases[k]) for k in run], run)
+                       for run in runs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want[k] for k in run] for run in runs]
 
 
 @pytest.mark.parametrize("ell", ATLAS_FALLBACK_SHAPES, ids=lambda e: str(e.axes))

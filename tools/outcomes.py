@@ -24,8 +24,9 @@ commit::
 
 ``--src`` picks the library source tree (default: this checkout's
 ``src``); the workload definitions always come from this checkout's
-``bench``.  ``compare`` prints every differing key with both outcomes
-and exits 1 when any differs.
+``bench``.  ``collect`` prints each group's outcome count and wall time
+as it finishes it.  ``compare`` prints every differing key with both
+outcomes and exits 1 when any differs.
 
 ``collect --atlas`` records a ``minimal_atlas()`` build instead: per
 class, the shape's axes, the caustic parameters, the impacts and
@@ -68,13 +69,24 @@ def collect(seeds, items: int) -> dict:
         except BilliardError as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    out = {}
+    out, start = {}, time.perf_counter()
+
+    def done(group):
+        # one line per group: its outcome count and wall time
+        nonlocal start
+        got = [v for k, v in out.items() if k[0] == group]
+        fails = sum(isinstance(v, str) for v in got)
+        print(f"{group}: {len(got)} outcomes ({fails} errors) in "
+              f"{time.perf_counter() - start:.2f} s")
+        start = time.perf_counter()
+
     for seed in seeds:
         wl = workloads.FreqInvert()
         wl.setup(seed, None)
         for k in range(items):
             target, ctype, ell, _ = wl.item(k).args
             out[("freq_invert", seed, k)] = run(target, ctype, ell)
+    done("freq_invert")
     shapes3d = set(engine.STOCK_ELLIPSOIDS_3D) | set(engine.ATLAS_FALLBACK_SHAPES)
     keys = set()
     for n in (1, 2):
@@ -84,16 +96,19 @@ def collect(seeds, items: int) -> dict:
     for axes, ctype, m in sorted(keys):
         out[("atlas", axes, ctype, m)] = run(spectral.WindingNumbers(m).target(), ctype,
                                              Ellipsoid(axes))
+    done("atlas")
     for ctype, axes, lambdas in workloads.STALL_TARGETS:
         ell = Ellipsoid(axes)
         target = spectral.frequencies(CausticParams.from_values(lambdas, ell), ell).omega
         out[("stall", ctype, axes, lambdas)] = run(target, ctype, ell)
+    done("stall")
     rng, ell = np.random.default_rng(0), Ellipsoid(R4_AXES)
     for ctype in geometry.caustic_types(3):
         for k in range(3):
             lam = workloads.draw_caustic(rng, ctype, ell)
             out[("r4", ctype, k, lam.lambdas)] = run(spectral.frequencies(lam, ell).omega,
                                                      ctype, ell)
+    done("r4")
     return out
 
 
