@@ -205,26 +205,44 @@ def _cmd_spt_atlas(args) -> int:
 
 
 #: How far a document's stored figures may lie from the values recomputed
-#: from its rows: absolute for the closure residual, relative for the length.
-_STORED_CLOSURE_ATOL = 1e-12
-_STORED_LENGTH_RTOL = 1e-12
+#: from its rows: relative for the length, absolute for every other float.
+_STORED_TOL = 1e-12
 
 
-def _stored_figure_failures(traj, doc: dict) -> list[str]:
-    """A failure line for each stored figure that the trajectory's rows contradict."""
-    out = []
-    for key, value, tol in (("closure_residual", traj.closure_residual, _STORED_CLOSURE_ATOL),
-                            ("length", traj.length, _STORED_LENGTH_RTOL * traj.length)):
-        stored = doc.get(key, value)        # an absent figure is not checked
-        if not (type(stored) in (int, float) and abs(stored - value) <= tol):
-            out.append(f"stored {key} {stored!r} != {value!r} recomputed from the rows")
+def _same(stored, value, tol: float) -> bool:
+    """Whether a stored JSON value matches value: a float within tol, anything else exactly."""
+    if isinstance(value, float):        # int-float comparisons are exact, never overflow
+        return type(stored) in (int, float) and value - tol <= stored <= value + tol
+    return json.dumps(stored, sort_keys=True) == json.dumps(value, sort_keys=True)
+
+
+def _stored_figure_failures(traj, report, doc: dict) -> list[str]:
+    """A failure line for each stored figure that the trajectory's rows contradict.
+
+    The figures are ``closure_residual``, ``length`` and each field of
+    the ``symmetry_report`` but ``passed`` and ``failures``, against
+    ``report``; an absent figure, or report, is not checked.
+    """
+    stored, out = doc.get("symmetry_report", {}), []
+    have = {key: doc[key] for key in ("closure_residual", "length") if key in doc}
+    if isinstance(stored, dict):
+        have.update((f"symmetry_report.{key}", value) for key, value in stored.items()
+                    if key not in ("passed", "failures"))
+    else:
+        out.append(f"stored symmetry_report {stored!r} is not an object")
+    want = {"closure_residual": traj.closure_residual, "length": traj.length,
+            **{f"symmetry_report.{key}": value for key, value in report.to_dict().items()}}
+    for key, value in have.items():
+        tol = _STORED_TOL * traj.length if key == "length" else _STORED_TOL
+        if key not in want or not _same(value, want[key], tol):
+            out.append(f"stored {key} {value!r} != {want.get(key)!r} recomputed from the rows")
     return out
 
 
 def _cmd_verify(args) -> int:
     traj, doc = document.load_trajectory(args.file)
     report = verify_trajectory(traj)
-    report.failures += _stored_figure_failures(traj, doc)
+    report.failures += _stored_figure_failures(traj, report, doc)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else VERIFY_EXIT
 
@@ -262,7 +280,7 @@ def main(argv=None) -> int:
             payload["report"] = exc.report.to_dict()
         print(json.dumps(payload), file=sys.stderr)
         return VERIFY_EXIT
-    except (BilliardError, ValueError, KeyError, OSError) as exc:
+    except (BilliardError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return NUMERIC_EXIT

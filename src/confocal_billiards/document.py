@@ -111,7 +111,7 @@ def trajectory_from_document(doc: dict) -> Trajectory:
         winding = WindingNumbers(tuple(m))
         rows = {key: np.array(doc[key], dtype=float) for key in ("impacts", "velocities")}
         branch, class_id = doc.get("branch", 0), doc.get("class_id")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed trajectory document: {type(exc).__name__}: {exc}") from None
     if ctype != lam.ctype:
         raise ValueError(f"caustic type {ctype!r} does not match the lambdas "

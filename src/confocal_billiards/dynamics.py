@@ -173,7 +173,7 @@ def nonempty_reversors(dim: int) -> list[Reversor]:
 #: right as numpy sums a row, and ``{, e}`` is their tuple.  ``G = Q/A``
 #: is computed once per impact and serves the next bounce's reflection.
 _BOUNCE_LOOP = """
-def loop(q, p, a, steps, project, qapp, papp):
+def loop(q, p, a, steps, qapp, papp):
     A# = a[#]
     Q# = q[#]
     P# = p[#]
@@ -188,21 +188,20 @@ def loop(q, p, a, steps, project, qapp, papp):
         mu = -2.0 * {+ G# * P#} / {+ P# * (P# / A#)}
         Q# = Q# + mu * P#
         G# = Q# / A#
-        if project:
-            c0 = {+ Q# * G#} - 1.0
-            if not -eps < c0 < eps:
-                c2 = {+ G# * (G# / A#)}
-                c1 = 2.0 * {+ G# * G#}
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if disc < 0.0:
-                    disc = 0.0
-                t = 2.0 * c0 / (c1 + sqrt(disc))
-                Q# = Q# - t * G#
-                G# = Q# / A#
-            s = {+ P# * P#}
-            if not -eps < s - 1.0 < eps:
-                s = sqrt(s)
-                P# = P# / s
+        c0 = {+ Q# * G#} - 1.0
+        if not -eps < c0 < eps:
+            c2 = {+ G# * (G# / A#)}
+            c1 = 2.0 * {+ G# * G#}
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                disc = 0.0
+            t = 2.0 * c0 / (c1 + sqrt(disc))
+            Q# = Q# - t * G#
+            G# = Q# / A#
+        s = {+ P# * P#}
+        if not -eps < s - 1.0 < eps:
+            s = sqrt(s)
+            P# = P# / s
         qapp(Q#)
         papp(P#)
 """
@@ -246,29 +245,28 @@ def _start(q, p, a, steps: int) -> tuple[array, array]:
     return qbuf, pbuf
 
 
-def _orbit(q, p, a, steps: int, project: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _orbit(q, p, a, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Impacts and velocities of ``steps`` bounces from (q, p), rows 0..steps.
 
     The one bounce kernel.  Each bounce raises DegenerateImpact on a
-    tangential impact.  With ``project``, an impact whose residual
+    tangential impact and corrects drift: an impact whose residual
     ``c0 = <q, Dq> - 1`` lies outside +-_SURFACE_EPS is shifted along Dq
     back onto the surface (the root of ``<D(q - t Dq), q - t Dq> = 1``
     nearest 0), and a velocity whose ``|p|^2 - 1`` lies outside
     +-_SURFACE_EPS is renormalized; the advance keeps ``<q, Dq>`` to
-    rounding, so most bounces need neither.  Without ``project`` no
-    bounce is corrected.  The loop runs on Python floats with every
-    coordinate in its own local: at d <= 4, numpy's per-call overhead and
-    even a Python loop over the coordinates cost more than the
-    arithmetic.  A bounce appends its coordinates to two flat
-    ``array("d")`` buffers seeded with the start row, and calls nothing
-    but ``sqrt`` and those appends.  The results are writable, C-ordered
-    float64 views of shape (steps + 1, d) on the buffers, with no copy.
-    Negative ``steps``, a start of the wrong length and a non-finite
-    start raise ValueError.
+    rounding, so most bounces need neither.  The loop runs on Python
+    floats with every coordinate in its own local: at d <= 4, numpy's
+    per-call overhead and even a Python loop over the coordinates cost
+    more than the arithmetic.  A bounce appends its coordinates to two
+    flat ``array("d")`` buffers seeded with the start row, and calls
+    nothing but ``sqrt`` and those appends.  The results are writable,
+    C-ordered float64 views of shape (steps + 1, d) on the buffers, with
+    no copy.  Negative ``steps``, a start of the wrong length and a
+    non-finite start raise ValueError.
     """
     qbuf, pbuf = _start(q, p, a, steps)
     _bounce_loop(len(a))(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps,
-                         project, qbuf.append, pbuf.append)
+                         qbuf.append, pbuf.append)
     return np.frombuffer(qbuf).reshape(-1, len(a)), np.frombuffer(pbuf).reshape(-1, len(a))
 
 
@@ -276,13 +274,13 @@ def _impacts(q, p, a, steps: int) -> np.ndarray:
     """The impacts of ``_orbit``, bit for bit, from a loop that keeps no velocities."""
     qbuf, pbuf = _start(q, p, a, steps)
     _bounce_loop(len(a), False)(qbuf.tolist(), pbuf.tolist(), [float(v) for v in a], steps,
-                                True, qbuf.append, None)
+                                qbuf.append, None)
     return np.frombuffer(qbuf).reshape(-1, len(a))
 
 
-def billiard_map(m: PhasePoint, ell: Ellipsoid, *, project: bool = True) -> PhasePoint:
+def billiard_map(m: PhasePoint, ell: Ellipsoid) -> PhasePoint:
     """One bounce: reflect the velocity, advance to the next impact."""
-    qs, ps = _orbit(m.q, m.p, ell.a, 1, project)
+    qs, ps = _orbit(m.q, m.p, ell.a, 1)
     return PhasePoint(tuple(qs[1]), tuple(ps[1]))
 
 
@@ -321,7 +319,6 @@ def dual_map(m: PhasePoint, ell: Ellipsoid) -> PhasePoint:
     return PhasePoint(tuple(c * p1), tuple(-q / c))
 
 
-def iterate_orbit(m: PhasePoint, ell: Ellipsoid, steps: int,
-                  *, project: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Impact and velocity sequences of f^0(m), ..., f^steps(m)."""
-    return _orbit(m.q, m.p, ell.a, steps, project)
+def iterate_orbit(m: PhasePoint, ell: Ellipsoid, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Impact and velocity sequences of f^0(m), ..., f^steps(m), drift-corrected by ``_orbit``."""
+    return _orbit(m.q, m.p, ell.a, steps)

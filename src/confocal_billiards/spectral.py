@@ -22,7 +22,6 @@ numerically iterated orbit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -50,22 +49,12 @@ from .geometry import (
 from .quadrature import _BASE_LEVEL, period_integrals
 from .symmetry import all_vertexes, reversor_of_vertex, seed_point_at_vertex
 
-_TOL_ENV = "CONFOCAL_QUAD_TOL"
+#: Tolerance of the period integrals (``period_integrals``'s ``tol``).
+_QUAD_TOL = 1e-12
+#: Largest |omega - target| an inversion accepts.
+_TOL_OMEGA = 1e-10
 #: Share of a chord by which ``count_turning_events`` shifts its window back.
 _EDGE_FRAC = 1e-6
-
-
-def _quad_tol(tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    raw = os.environ.get(_TOL_ENV, "1e-12")
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{_TOL_ENV}={raw!r}: need a finite number > 0")
-    return value
 
 
 @dataclass(frozen=True)
@@ -173,10 +162,10 @@ def _omega_rows(lams, ell: Ellipsoid, tol: float,
             ok.reshape(n1, N).all(axis=0))
 
 
-def _converged_omega(lams, ell: Ellipsoid, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """``_omega_rows`` that raises QuadratureNotConverged for any unconverged row."""
+def _converged_omega(lams, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray]:
+    """``_omega_rows`` at ``_QUAD_TOL``; QuadratureNotConverged for any unconverged row."""
     lams = np.asarray(lams, dtype=float).reshape(-1, ell.n)
-    omega, err, ok = _omega_rows(lams, ell, _quad_tol(tol))
+    omega, err, ok = _omega_rows(lams, ell, _QUAD_TOL)
     if not ok.all():
         bad = int(np.argmin(ok))
         raise QuadratureNotConverged(
@@ -185,24 +174,24 @@ def _converged_omega(lams, ell: Ellipsoid, tol: float | None) -> tuple[np.ndarra
     return omega, err
 
 
-def frequencies(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
+def frequencies(lam: CausticParams, ell: Ellipsoid) -> FrequencyValue:
     """omega(lam) for any n from the n x n period-integral system."""
-    omega, err = _converged_omega([lam.lambdas], ell, tol)
+    omega, err = _converged_omega([lam.lambdas], ell)
     return FrequencyValue(tuple(float(v) for v in omega[0]), float(err[0]))
 
 
-def rotation_number(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
+def rotation_number(lam: CausticParams, ell: Ellipsoid) -> FrequencyValue:
     """rho(lam) for n = 1: half the ratio of the two period integrals."""
     if ell.n != 1:
         raise UnsupportedDimension("rotation number is the n=1 frequency")
-    return frequencies(lam, ell, tol)
+    return frequencies(lam, ell)
 
 
-def frequency_map(lam: CausticParams, ell: Ellipsoid, tol: float | None = None) -> FrequencyValue:
+def frequency_map(lam: CausticParams, ell: Ellipsoid) -> FrequencyValue:
     """omega(lam) for n = 2 from the 2x2 period-integral system."""
     if ell.n != 2:
         raise UnsupportedDimension("frequency map implemented for n=2")
-    return frequencies(lam, ell, tol)
+    return frequencies(lam, ell)
 
 
 # --------------------------------------------------------------------------
@@ -358,8 +347,7 @@ def _edge_clustered_grid(lo: float, hi: float, per_edge: int = 14) -> np.ndarray
     return np.concatenate([lo + offs, (hi - offs)[::-1]])
 
 
-def invert_frequency(target, ctype: str, ell: Ellipsoid,
-                     tol_omega: float = 1e-10) -> CausticParams:
+def invert_frequency(target, ctype: str, ell: Ellipsoid) -> CausticParams:
     """Caustic parameters in the given component with the given frequencies.
 
     n = 1: bracketed bisection/secant on rho.  n >= 2: the product of the
@@ -375,13 +363,13 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
     meets an unconverged point counts as stalled, the first to converge
     wins, and if none does, NoSolutionInComponent names the six starts'
     best residual.  An inversion that succeeds from the six never reaches
-    this rescue.  Iterates stay 1e-9 inside.  The period integrals use
-    the tolerance of ``CONFOCAL_QUAD_TOL`` (default 1e-12).
+    this rescue.  Iterates stay 1e-9 inside, period integrals converge
+    to ``_QUAD_TOL`` = 1e-12, and |omega - target| <= ``_TOL_OMEGA`` = 1e-10.
 
     The grid and its level-4 rows do not depend on the target, so the
     last n >= 2 inversion's are kept, read-only, and reused when the
-    next one has the same type, axes and tolerance (``_grid_scan``): a
-    sweep of targets on one component pays for that pass once.  Only
+    next one has the same type and axes (``_grid_scan``): a sweep of
+    targets on one component pays for that pass once.  Only
     one scan is held, at most about 40 KB for n = 2 and 1.4 MB for
     n = 3; the result is the same bits either way.
     """
@@ -390,21 +378,16 @@ def invert_frequency(target, ctype: str, ell: Ellipsoid,
     if len(target) != len(bounds):
         raise ValueError(f"target length {len(target)} != n = {len(bounds)}")
     if ell.n == 1:
-        return _invert_1d(target[0], ctype, ell, tol_omega)
-    return _invert_nd(np.array(target), ctype, ell, tol_omega)
+        return _invert_1d(target[0], ctype, ell)
+    return _invert_nd(np.array(target), ctype, ell)
 
 
-def _invert_1d(target: float, ctype: str, ell: Ellipsoid, tol_omega: float) -> CausticParams:
-    tol = _quad_tol(None)
+def _invert_1d(target: float, ctype: str, ell: Ellipsoid) -> CausticParams:
     lo, hi = caustic_component_bounds(ctype, ell)[0]
     margin = 1e-9 * ell.axes[-1]
     lo, hi = lo + margin, hi - margin
-
-    def f(x):
-        return rotation_number(CausticParams((x,), ctype), ell, tol).omega[0] - target
-
     grid = _edge_clustered_grid(lo, hi, 17)
-    vals = _converged_omega(grid, ell, tol)[0][:, 0] - target
+    vals = _converged_omega(grid, ell)[0][:, 0] - target
     idx = None
     for k in range(len(grid) - 1):
         if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
@@ -420,8 +403,8 @@ def _invert_1d(target: float, ctype: str, ell: Ellipsoid, tol_omega: float) -> C
         # secant proposal, bisection safeguard
         x_sec = b_x - fb * (b_x - a_x) / (fb - fa) if fb != fa else 0.5 * (a_x + b_x)
         x = x_sec if (a_x < x_sec < b_x) else 0.5 * (a_x + b_x)
-        fx = f(x)
-        if abs(fx) <= tol_omega:
+        fx = rotation_number(CausticParams((x,), ctype), ell).omega[0] - target
+        if abs(fx) <= _TOL_OMEGA:
             return CausticParams((x,), ctype)
         if fa * fx <= 0.0:
             b_x, fb = x, fx
@@ -432,8 +415,7 @@ def _invert_1d(target: float, ctype: str, ell: Ellipsoid, tol_omega: float) -> C
     raise NoSolutionInComponent(f"bisection stalled at rho residual {fx}")
 
 
-def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float) -> CausticParams:
-    tol = _quad_tol(None)
+def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid) -> CausticParams:
     bounds = np.array(caustic_component_bounds(ctype, ell))
     margin = 1e-9 * ell.axes[-1]
     # caustics i and i+1 in one axis interval (H1H1); by the interleaving
@@ -452,11 +434,11 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
         return lams
 
     def resid_rows(lams):
-        omega, _, ok = _omega_rows(lams, ell, tol)
+        omega, _, ok = _omega_rows(lams, ell, _QUAD_TOL)
         return omega - target, ok
 
-    grid, cells, shape, level4 = _grid_scan(ctype, ell, bounds, shared, margin, tol)
-    norms = _scan_norms(grid, target, ell, tol, level4)
+    grid, cells, shape, level4 = _grid_scan(ctype, ell, bounds, shared, margin)
+    norms = _scan_norms(grid, target, ell, level4)
     order = np.lexsort((*grid.T[::-1], norms))[:6]      # by norm, then x1, x2, ...
     if not order.size or norms[order[0]] > 0.45:
         raise NoSolutionInComponent(
@@ -466,11 +448,11 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
     # when it does not; the first to converge wins, as one by one
     best_norm = math.inf
     for batch in (order[:1], order[1:]):
-        lams, nrms, stuck = _newton(resid_rows, clip, grid[batch], bounds, tol_omega)
+        lams, nrms, stuck = _newton(resid_rows, clip, grid[batch], bounds, _TOL_OMEGA)
         for lam, nrm, point in zip(lams, nrms, stuck):
             if point is not None:
-                _converged_omega(point, ell, tol)       # raises QuadratureNotConverged
-            if nrm <= tol_omega:
+                _converged_omega(point, ell)        # raises QuadratureNotConverged
+            if nrm <= _TOL_OMEGA:
                 return CausticParams(tuple(lam), ctype)
             best_norm = min(best_norm, nrm)
 
@@ -481,20 +463,20 @@ def _invert_nd(target: np.ndarray, ctype: str, ell: Ellipsoid, tol_omega: float)
     rescue = rescue[~np.isin(rescue, order)]
     if rescue.size:
         rescue = rescue[np.lexsort((*grid[rescue].T[::-1], norms[rescue]))]
-        lams, nrms, _ = _newton(resid_rows, clip, grid[rescue], bounds, tol_omega)
+        lams, nrms, _ = _newton(resid_rows, clip, grid[rescue], bounds, _TOL_OMEGA)
         for lam, nrm in zip(lams, nrms):
-            if nrm <= tol_omega:
+            if nrm <= _TOL_OMEGA:
                 return CausticParams(tuple(lam), ctype)
     raise NoSolutionInComponent(
         f"Newton stalled at |omega - target| = {best_norm} for {ctype} on {ell.axes}")
 
 
-#: The last ``_grid_scan``: ((ctype, axes, tol), grid, cells, shape,
+#: The last ``_grid_scan``: ((ctype, axes), grid, cells, shape,
 #: (omega, err, final)), or None.  Replaced whole, never changed in place.
 _LAST_SCAN = None
 
 
-def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float, tol: float):
+def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float):
     """The scan grid of a component and its rows at quadrature level 4.
 
     Returns (grid, cells, shape, (omega, err, final)): the product of the
@@ -503,12 +485,12 @@ def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float, tol: f
     x_{i+1} <= x_i + margin of each shared pair i), and ``_omega_rows``
     of the grid at level ``_BASE_LEVEL + 1``.  None of it depends on the
     target, so the last call's result is kept, read-only, and returned
-    again for the same (ctype, axes, tol); a call with another key
+    again for the same (ctype, axes); a call with another key
     computes it afresh and replaces it.  The name is read once and
     assigned whole, so concurrent callers at worst recompute.
     """
     global _LAST_SCAN
-    key = (ctype, ell.axes, tol)
+    key = (ctype, ell.axes)
     scan = _LAST_SCAN
     if scan is None or scan[0] != key:
         mesh = np.meshgrid(*(_edge_clustered_grid(lo, hi) for lo, hi in bounds), indexing="ij")
@@ -517,7 +499,7 @@ def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float, tol: f
         for i in shared:
             keep = ~(grid[:, i + 1] <= grid[:, i] + margin)
             grid, cells = grid[keep], cells[keep]
-        level4 = _omega_rows(grid, ell, tol, max_level=_BASE_LEVEL + 1)
+        level4 = _omega_rows(grid, ell, _QUAD_TOL, max_level=_BASE_LEVEL + 1)
         for arr in (grid, cells) + level4:
             arr.setflags(write=False)
         scan = (key, grid, cells, mesh[0].shape, level4)
@@ -525,7 +507,7 @@ def _grid_scan(ctype: str, ell: Ellipsoid, bounds, shared, margin: float, tol: f
     return scan[1:]
 
 
-def _scan_norms(grid, target, ell: Ellipsoid, tol: float, level4=None) -> np.ndarray:
+def _scan_norms(grid, target, ell: Ellipsoid, level4) -> np.ndarray:
     """Residual norms of the scan grid, exact wherever they can rank among six.
 
     Every row goes to level ``_BASE_LEVEL + 1``, the first with an error
@@ -542,10 +524,8 @@ def _scan_norms(grid, target, ell: Ellipsoid, tol: float, level4=None) -> np.nda
     them, so a sort of the norms starts with the same six rows as a sort
     of the exact ones.  A row that misses the tolerance at the finest
     level gets an infinite norm.  ``level4`` is the grid's level-4
-    (omega, err, final), when already known; it is read, not changed.
+    (omega, err, final) at ``_QUAD_TOL``; it is read, not changed.
     """
-    if level4 is None:
-        level4 = _omega_rows(grid, ell, tol, max_level=_BASE_LEVEL + 1)
     omega, err, final = level4
     final = final.copy()
     norms = np.max(np.abs(omega - target), axis=1)
@@ -556,7 +536,7 @@ def _scan_norms(grid, target, ell: Ellipsoid, tol: float, level4=None) -> np.nda
         redo = np.flatnonzero(~final & ~(norms - bound > cutoff))     # NaN norms too
         if not redo.size:
             return norms
-        omega, _, ok = _omega_rows(grid[redo], ell, tol)
+        omega, _, ok = _omega_rows(grid[redo], ell, _QUAD_TOL)
         norms[redo] = np.where(ok, np.max(np.abs(omega - target), axis=1), math.inf)
         final[redo], bound[redo] = True, 0.0
 

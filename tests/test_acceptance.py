@@ -114,20 +114,20 @@ def test_criterion_4_algebraic_property_suite(ell_mid, rng):
         for r in all_reversors(3):
             worst["r2"] = max(worst["r2"], diff(
                 apply_reversor(r, apply_reversor(r, m, ell_mid), ell_mid), m))
-        f_m = billiard_map(m, ell_mid, project=False)
+        f_m = billiard_map(m, ell_mid)
         for sigma in all_reflections(3):
             tilde = Reversor("tilde", sigma)
             hat = Reversor("hat", sigma)
             worst["factor"] = max(worst["factor"], diff(
                 apply_reversor(hat, apply_reversor(tilde, m, ell_mid), ell_mid), f_m))
             worst["commute"] = max(worst["commute"], diff(
-                billiard_map(apply_symmetry(sigma, m), ell_mid, project=False),
+                billiard_map(apply_symmetry(sigma, m), ell_mid),
                 apply_symmetry(sigma, f_m)))
         g2 = dual_map(dual_map(m, ell_mid), ell_mid)
         worst["gsq"] = max(worst["gsq"], diff(
             g2, apply_symmetry(Reflection.central(3), f_m)))
         worst["fg"] = max(worst["fg"], diff(
-            billiard_map(dual_map(m, ell_mid), ell_mid, project=False),
+            billiard_map(dual_map(m, ell_mid), ell_mid),
             dual_map(f_m, ell_mid)))
     assert all(v < 1e-12 for v in worst.values()), worst
 

@@ -222,6 +222,16 @@ def test_freq_invert_names_a_winding_of_the_wrong_length(capsys):
                                       "axes (0.13, 0.8, 1.0) (dimension 3) need 3")
 
 
+def test_winding_beyond_float_range_exits_2(capsys):
+    # its target m_i / 2 m_0 has no float: one JSON line, no traceback
+    huge = str(10 ** 400)
+    for argv in (["freq", "invert", "--type", "H1H1", "--winding", f"{huge},3,2"],
+                 ["spt", "find", "--class", "H1H1:R2i+R2o", "--winding", f"{huge},3,2"]):
+        code, out, err = run_cli(capsys, *argv, "--axes", "0.13,0.8,1")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_document_17_digit_floats(tmp_path, ell_thin):
     traj = find_spt(class_by_id("H1H2:R+fR13", 2), ell_thin)
     text = document.dumps(document.trajectory_to_document(traj))
@@ -291,17 +301,15 @@ def test_document_finite_bytes():
         '    3,\n    true,\n    null,\n    "s"\n  ],\n  "b": {},\n  "c": []\n}\n')
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tight"])
-def test_quad_tol_env_rejected(value, monkeypatch, capsys):
-    monkeypatch.setenv("CONFOCAL_QUAD_TOL", value)
-    code, out, err = run_cli(capsys, "freq", "eval", "--axes", "0.13,0.8,1.0",
-                             "--lambdas", "0.130077,0.648376")
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "ValueError"
-    assert "CONFOCAL_QUAD_TOL" in payload["message"]
+def test_freq_eval_reads_no_tolerance_from_the_environment(monkeypatch, capsys):
+    # the quadrature tolerance is fixed: a CONFOCAL_QUAD_TOL that older
+    # versions read (and rejected when not a number) changes nothing
+    args = ("freq", "eval", "--axes", "0.13,0.8,1.0", "--lambdas", "0.130077,0.648376")
+    monkeypatch.delenv("CONFOCAL_QUAD_TOL", raising=False)
+    plain = run_cli(capsys, *args)
+    monkeypatch.setenv("CONFOCAL_QUAD_TOL", "tight")
+    assert run_cli(capsys, *args) == plain
+    assert plain[0] == 0 and plain[2] == ""
 
 
 def test_spt_find_bytes_independent_of_hash_seed(tmp_path):
@@ -335,6 +343,9 @@ CORRUPTIONS = {
     "missing_row": lambda doc: doc["impacts"].pop(),
     "non_finite": lambda doc: doc["velocities"][1].__setitem__(0, float("nan")),
     "wrong_dim": lambda doc: [row.pop() for row in doc["impacts"]],
+    # integers that no float holds
+    "huge_axis": lambda doc: doc["axes"].__setitem__(0, 10 ** 400),
+    "huge_impact": lambda doc: doc["impacts"][1].__setitem__(0, 10 ** 400),
 }
 
 
@@ -429,13 +440,17 @@ def test_verify_checks_velocities_against_their_chords(how, triangle_text, tmp_p
     v = doc["velocities"]
     doc["velocities"] = [[2.0 * x for x in row] for row in v] if how == "doubled" else [v[0]] * len(v)
     traj = document.trajectory_from_document(doc)
-    failures = engine.verify_trajectory(traj).failures
-    assert any(f.startswith("velocities off their chords") for f in failures)
+    report = engine.verify_trajectory(traj)
+    assert any(f.startswith("velocities off their chords") for f in report.failures)
+    # where the stored report, made from the true velocities, no longer
+    # matches, verify names each field that changed
+    stale = cli._stored_figure_failures(traj, report, doc)
+    assert all(f.startswith("stored symmetry_report.") for f in stale)
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
-    assert json.loads(out)["failures"] == failures
+    assert json.loads(out)["failures"] == report.failures + stale
 
 
 def test_zero_length_chord_is_a_singular_line(triangle_text, tmp_path, capsys):
@@ -486,28 +501,56 @@ def test_document_branch_and_class_id_defaults(triangle_text):
 
 @pytest.mark.parametrize("stored", [{"closure_residual": 5.0}, {"length": -1.0},
                                     {"closure_residual": 5.0, "length": -1.0},
-                                    {"length": "1.5"}])
+                                    {"length": "1.5"},
+                                    {"symmetry_report.winding_counts": [4, 2]},
+                                    {"symmetry_report.visited_masks": [[0, 0]]},
+                                    {"symmetry_report.memberships": {}},
+                                    {"symmetry_report.cuboid_excursion": 0.5},
+                                    {"length": 10 ** 400}])
 def test_verify_checks_stored_figures(stored, triangle_text, tmp_path, capsys):
     # the reader still loads the document; verify fails each stored figure
-    # that the impacts and velocities contradict, naming both values
+    # and symmetry-report field ("symmetry_report.<field>") that the
+    # impacts and velocities contradict, naming both values
     doc = json.loads(triangle_text)
     traj = document.trajectory_from_document(doc)
-    doc.update(stored)
+    report = engine.verify_trajectory(traj).to_dict()
+    recomputed = {"closure_residual": traj.closure_residual, "length": traj.length,
+                  **{f"symmetry_report.{key}": value for key, value in report.items()}}
+    for key, value in stored.items():
+        where, _, field = key.rpartition(".")
+        (doc[where] if where else doc)[field] = value
     assert not engine.verify_trajectory(document.trajectory_from_document(doc)).failures
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
-    recomputed = {"closure_residual": traj.closure_residual, "length": traj.length}
     assert json.loads(out)["failures"] == [
-        f"stored {key} {doc[key]!r} != {recomputed[key]!r} recomputed from the rows"
-        for key in ("closure_residual", "length") if key in stored]
+        f"stored {key} {stored[key]!r} != {value!r} recomputed from the rows"
+        for key, value in recomputed.items() if key in stored]
+
+
+@pytest.mark.parametrize("stored, failures", [
+    ([1], ["stored symmetry_report [1] is not an object"]),
+    ("absent", []),
+])
+def test_verify_checks_the_stored_report_is_an_object(stored, failures, triangle_text,
+                                                      tmp_path, capsys):
+    doc = json.loads(triangle_text)
+    doc["symmetry_report"] = stored
+    if stored == "absent":
+        del doc["symmetry_report"]      # a document without a report is not checked
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == (3 if failures else 0) and err == ""
+    assert json.loads(out)["failures"] == failures
 
 
 def test_verify_accepts_stored_figures_within_tolerance(triangle_text, tmp_path, capsys):
     doc = json.loads(triangle_text)
     doc["closure_residual"] += 9e-13
     doc["length"] *= 1.0 + 9e-13
+    doc["symmetry_report"]["caustic_deviation"] += 9e-13
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verify", str(path))
@@ -518,4 +561,5 @@ def test_atlas_documents_keep_their_stored_figures(atlas):
     # each atlas document, written and read back, matches its own rows
     for t in atlas.trajectories:
         doc = json.loads(document.dumps(document.trajectory_to_document(t, t.report)))
-        assert cli._stored_figure_failures(document.trajectory_from_document(doc), doc) == []
+        loaded = document.trajectory_from_document(doc)
+        assert cli._stored_figure_failures(loaded, engine.verify_trajectory(loaded), doc) == []

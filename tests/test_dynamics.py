@@ -137,7 +137,7 @@ def test_factorization(ell_mid, rng):
             q, p = random_phase_point(ell_mid, rng)
             m = PhasePoint(tuple(q), tuple(p))
             composed = apply_reversor(r_hat, apply_reversor(r_tilde, m, ell_mid), ell_mid)
-            worst = max(worst, phase_diff(composed, billiard_map(m, ell_mid, project=False)))
+            worst = max(worst, phase_diff(composed, billiard_map(m, ell_mid)))
     assert worst < 1e-12
 
 
@@ -160,10 +160,10 @@ def test_dual_map_identities(ell_mid, rng):
         q, p = random_phase_point(ell_mid, rng)
         m = PhasePoint(tuple(q), tuple(p))
         g2 = dual_map(dual_map(m, ell_mid), ell_mid)
-        minus_f = apply_symmetry(Reflection.central(3), billiard_map(m, ell_mid, project=False))
+        minus_f = apply_symmetry(Reflection.central(3), billiard_map(m, ell_mid))
         worst_sq = max(worst_sq, phase_diff(g2, minus_f))
-        fg = billiard_map(dual_map(m, ell_mid), ell_mid, project=False)
-        gf = dual_map(billiard_map(m, ell_mid, project=False), ell_mid)
+        fg = billiard_map(dual_map(m, ell_mid), ell_mid)
+        gf = dual_map(billiard_map(m, ell_mid), ell_mid)
         worst_comm = max(worst_comm, phase_diff(fg, gf))
     assert worst_sq < 1e-12
     assert worst_comm < 1e-12
@@ -225,19 +225,17 @@ def _outside(residual):
     return ~((-_SURFACE_EPS < residual) & (residual < _SURFACE_EPS))
 
 
-def _step_batch(Q, P, a, project=True):
+def _step_batch(Q, P, a):
     """Former lockstep kernel: one bounce of every row.
 
-    With ``project``, a row's impact is projected and its velocity
-    renormalized only where its residual lies outside the kernel's bound.
+    A row's impact is projected and its velocity renormalized only where
+    its residual lies outside the kernel's bound.
     """
     G = Q / a
     nu = -2.0 * np.sum(G * P, axis=1) / np.sum(G * G, axis=1)
     P1 = P + nu[:, None] * G
     mu = -2.0 * np.sum(G * P1, axis=1) / np.sum(P1 * (P1 / a), axis=1)
     Q1 = Q + mu[:, None] * P1
-    if not project:
-        return Q1, P1
     G1 = Q1 / a
     c2 = np.sum(G1 * (G1 / a), axis=1)
     c1 = 2.0 * np.sum(G1 * G1, axis=1)
@@ -250,31 +248,30 @@ def _step_batch(Q, P, a, project=True):
     return Q1, P1
 
 
-def _lockstep(Q, P, a, steps, project=True):
+def _lockstep(Q, P, a, steps):
     """Rows 0..steps of every start under ``_step_batch``: shape (steps + 1, B, d)."""
     ref_q, ref_p = [Q], [P]
     for _ in range(steps):
-        Q, P = _step_batch(Q, P, a, project)
+        Q, P = _step_batch(Q, P, a)
         ref_q.append(Q)
         ref_p.append(P)
     return np.array(ref_q), np.array(ref_p)
 
 
-def _step_arrays(q, p, a, project=True):
+def _step_arrays(q, p, a):
     """Former scalar kernel (dot products through BLAS)."""
     g = q / a
     nu = -2.0 * float(g @ p) / float(g @ g)
     p1 = p + nu * g
     mu = -2.0 * float(g @ p1) / float(p1 @ (p1 / a))
     q1 = q + mu * p1
-    if project:
-        g = q1 / a
-        c2 = float(g @ (g / a))
-        c1 = 2.0 * float(g @ g)
-        c0 = float(q1 @ g) - 1.0
-        t = 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)))
-        q1 = q1 - t * g
-        p1 = p1 / np.linalg.norm(p1)
+    g = q1 / a
+    c2 = float(g @ (g / a))
+    c1 = 2.0 * float(g @ g)
+    c0 = float(q1 @ g) - 1.0
+    t = 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)))
+    q1 = q1 - t * g
+    p1 = p1 / np.linalg.norm(p1)
     return q1, p1
 
 
@@ -293,11 +290,10 @@ def _tangent_starts(axes, lams, seed, count):
 def test_orbit_matches_lockstep_batch_bit_for_bit(axes, lams):
     ell, starts = _tangent_starts(axes, lams, 11, 3)
     Q, P = np.array([s.q for s in starts]), np.array([s.p for s in starts])
-    for project in (True, False):
-        ref_q, ref_p = _lockstep(Q, P, ell.a, 2000, project)
-        for b, s in enumerate(starts):
-            qs, ps = _orbit(s.q, s.p, ell.a, 2000, project)
-            assert np.array_equal(qs, ref_q[:, b]) and np.array_equal(ps, ref_p[:, b])
+    ref_q, ref_p = _lockstep(Q, P, ell.a, 2000)
+    for b, s in enumerate(starts):
+        qs, ps = _orbit(s.q, s.p, ell.a, 2000)
+        assert np.array_equal(qs, ref_q[:, b]) and np.array_equal(ps, ref_p[:, b])
 
 
 @st.composite
@@ -318,15 +314,15 @@ def shapes_and_tangent_starts(draw):
         ell, (start,) = _tangent_starts(axes, lams, draw(st.integers(0, 2**32 - 1)), 1)
     except NoSolutionInComponent:
         assume(False)
-    return ell, start, draw(st.booleans())
+    return ell, start
 
 
 @settings(max_examples=60)
 @given(shapes_and_tangent_starts())
 def test_orbit_matches_lockstep_batch_property(case):
-    ell, start, project = case
-    ref_q, ref_p = _lockstep(np.array([start.q]), np.array([start.p]), ell.a, 200, project)
-    qs, ps = _orbit(start.q, start.p, ell.a, 200, project)
+    ell, start = case
+    ref_q, ref_p = _lockstep(np.array([start.q]), np.array([start.p]), ell.a, 200)
+    qs, ps = _orbit(start.q, start.p, ell.a, 200)
     assert np.array_equal(qs, ref_q[:, 0]) and np.array_equal(ps, ref_p[:, 0])
 
 
@@ -339,16 +335,17 @@ def test_orbit_output_layout(ell_mid, steps):
         assert tuple(rows[0]) == first
 
 
-@pytest.mark.parametrize("project", [True, False])
-@pytest.mark.parametrize("axes, lams", KERNEL_CASES)
-def test_iterate_orbit_steps_match_scalar_kernel(axes, lams, project):
+# the ids end in "-True", as when the cases also ran an uncorrected kernel
+@pytest.mark.parametrize("axes, lams", KERNEL_CASES,
+                         ids=[f"axes{k}-lams{k}-True" for k in range(len(KERNEL_CASES))])
+def test_iterate_orbit_steps_match_scalar_kernel(axes, lams):
     # the dot products sum in another order than BLAS: rounding-level only
     ell = Ellipsoid(axes)
     lam = CausticParams.from_values(lams, ell)
     start = default_tangent_start(lam, ell, np.random.default_rng(12))
-    qs, ps = iterate_orbit(start, ell, 2000, project=project)
+    qs, ps = iterate_orbit(start, ell, 2000)
     for k in range(2000):
-        q1, p1 = _step_arrays(qs[k], ps[k], ell.a, project)
+        q1, p1 = _step_arrays(qs[k], ps[k], ell.a)
         assert np.max(np.abs(q1 - qs[k + 1])) <= 1e-12
         assert np.max(np.abs(p1 - ps[k + 1])) <= 1e-12
 
@@ -370,7 +367,7 @@ def test_orbit_raises_on_tangential_impact(ell_mid):
 @settings(max_examples=30)
 @given(shapes_and_tangent_starts())
 def test_orbit_stays_on_the_surface_at_unit_speed_property(case):
-    ell, start, _ = case
+    ell, start = case
     qs, ps = _orbit(start.q, start.p, ell.a, 2000)
     assert np.all(np.abs(np.sum(qs[1:] * (qs[1:] / ell.a), axis=1) - 1.0) <= _SURFACE_EPS)
     assert np.all(np.abs(np.sum(ps[1:] * ps[1:], axis=1) - 1.0) <= _SURFACE_EPS)
@@ -440,5 +437,5 @@ def test_reversors_are_involutions_property(case):
 def test_dual_map_squares_to_minus_f_property(case):
     ell, m = case
     g2 = dual_map(dual_map(m, ell), ell)
-    minus_f = apply_symmetry(Reflection.central(ell.dim), billiard_map(m, ell, project=False))
+    minus_f = apply_symmetry(Reflection.central(ell.dim), billiard_map(m, ell))
     assert phase_diff(g2, minus_f) < 1e-12

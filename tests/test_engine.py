@@ -379,18 +379,6 @@ def test_report_roundtrip_bit_for_bit(tmp_path, ell_thin):
     assert rep2.to_dict() == rep.to_dict()
 
 
-def test_quad_tol_env_override(ell_mid, monkeypatch):
-    from confocal_billiards import frequency_map
-    from confocal_billiards.geometry import CausticParams
-    lam = CausticParams.from_values((0.2, 0.6), ell_mid)
-    monkeypatch.setenv("CONFOCAL_QUAD_TOL", "1e-6")
-    coarse = frequency_map(lam, ell_mid)
-    monkeypatch.delenv("CONFOCAL_QUAD_TOL")
-    fine = frequency_map(lam, ell_mid)
-    assert coarse.error >= 1e-6 > fine.error
-    assert max(abs(a - b) for a, b in zip(coarse.omega, fine.omega)) < 1e-6
-
-
 def _counting_inversions(monkeypatch, classes):
     """Run minimal_atlas over ``classes`` only; count invert_frequency per key."""
     from collections import Counter

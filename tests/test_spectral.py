@@ -105,10 +105,11 @@ def test_rho_monotone_per_component(ell2d):
 
 
 def test_quadrature_convergence(ell_mid):
-    lam = CausticParams.from_values((0.2, 0.6), ell_mid)
-    coarse = frequency_map(lam, ell_mid, tol=1e-8)
-    fine = frequency_map(lam, ell_mid, tol=1e-14)
-    assert max(abs(a - b) for a, b in zip(coarse.omega, fine.omega)) <= max(coarse.error, 1e-12)
+    lam = [(0.2, 0.6)]
+    coarse, coarse_err, coarse_ok = spectral._omega_rows(lam, ell_mid, 1e-8)
+    fine, _, fine_ok = spectral._omega_rows(lam, ell_mid, 1e-14)
+    assert coarse_ok.all() and fine_ok.all()
+    assert np.max(np.abs(coarse - fine)) <= max(coarse_err[0], 1e-12)
 
 
 GOLDEN_FREQ = [
@@ -149,14 +150,15 @@ def test_stalled_1d_inversion_reports_its_last_residual(monkeypatch, ell2d):
     target = rotation_number(CausticParams((0.08,), "E"), ell2d).omega[0]
     points = []
 
-    def logging(lam, ell, tol=None):
-        fv = rotation_number(lam, ell, tol)
+    def logging(lam, ell):
+        fv = rotation_number(lam, ell)
         points.append((lam.lambdas[0], fv.omega[0]))
         return fv
 
     monkeypatch.setattr(spectral, "rotation_number", logging)
+    monkeypatch.setattr(spectral, "_TOL_OMEGA", -1.0)
     with pytest.raises(NoSolutionInComponent) as exc:
-        invert_frequency((target,), "E", ell2d, tol_omega=-1.0)
+        invert_frequency((target,), "E", ell2d)
     assert len({x for x, _ in points}) == len(points) > 1
     assert str(exc.value) == f"bisection stalled at rho residual {points[-1][1] - target}"
 
@@ -426,6 +428,14 @@ def _scan_grid(ctype, ell):
                      if ctype != "H1H1" or not x2 <= x1 + margin])
 
 
+def _scan_norms(target, ctype, ell):
+    """``spectral._scan_norms`` of the scan grid, from its level-4 rows."""
+    grid = _scan_grid(ctype, ell)
+    level4 = spectral._omega_rows(grid, ell, spectral._QUAD_TOL,
+                                  max_level=quadrature._BASE_LEVEL + 1)
+    return spectral._scan_norms(grid, target, ell, level4)
+
+
 def test_edge_clustered_grid_is_sorted_without_numpy_ma():
     # np.unique would import numpy.ma on the first inversion of a process
     # (about 1 MB of RSS): the two halves of the grid are already disjoint and
@@ -495,7 +505,7 @@ def _other_local_minima(norms, ctype, ell, six):
 
 def _check_rescue_batches(batches, target, ctype, ell, six):
     """After the starts [1, 5], at most one batch: every other local minimum, in order."""
-    norms = spectral._scan_norms(_scan_grid(ctype, ell), target, ell, 1e-12)
+    norms = _scan_norms(target, ctype, ell)
     rest = _other_local_minima(norms, ctype, ell, set(six))
     assert batches[2:] == ([rest] if rest else [])
 
@@ -526,11 +536,13 @@ def test_scan_starts_match_tuple_sort(monkeypatch, coarse):
         assert len({(nrm, x1) for nrm, x1, _ in ref}) == 1
 
 
-def test_quadrature_non_convergence_is_reported(ell_mid, ell2d):
+def test_quadrature_non_convergence_is_reported(monkeypatch, ell_mid, ell2d):
+    # a tolerance no change can meet
+    monkeypatch.setattr(spectral, "_QUAD_TOL", -1.0)
     with pytest.raises(QuadratureNotConverged):
-        frequency_map(CausticParams.from_values((0.2, 0.6), ell_mid), ell_mid, tol=-1.0)
+        frequency_map(CausticParams.from_values((0.2, 0.6), ell_mid), ell_mid)
     with pytest.raises(QuadratureNotConverged):
-        rotation_number(CausticParams((0.1,), "E"), ell2d, tol=-1.0)
+        rotation_number(CausticParams((0.1,), "E"), ell2d)
 
 
 GOLDEN_INVERSIONS = [
@@ -599,17 +611,6 @@ def test_scan_reuse_is_bit_identical(monkeypatch):
         del calls[:]
         assert _inversion_outcome(*case) == want
         assert [stage for stage, _ in calls].count("level 4") == (0 if reused else 1)
-
-
-def test_scan_is_not_reused_across_quadrature_tolerances(monkeypatch):
-    target, ctype, ell = _sweep_case(*SWEEP[0][:3])
-    calls = _count_omega_rows(monkeypatch)
-    invert_frequency(target, ctype, ell)
-    monkeypatch.setenv("CONFOCAL_QUAD_TOL", "1e-11")
-    del calls[:]
-    invert_frequency(target, ctype, ell)
-    assert [stage for stage, _ in calls].count("level 4") == 1
-    assert spectral._LAST_SCAN[0] == (ctype, ell.axes, 1e-11)
 
 
 def test_kept_scan_is_read_only():
@@ -751,7 +752,8 @@ def _inversion_outcome(target, ctype, ell):
 #: Targets on which the best start stalls and the second converges (seeded
 #: freq_invert targets), and one on which all six starts stall.
 SECOND_START = (("EH1", (0.25, 0.49, 1.0), (0.28656519457485324, 0.17242543317333667)),
-                ("EH2", (0.05, 0.95, 1.0), (0.07172949402987333, 0.06245125888927615)))
+                ("EH2", (0.05, 0.95, 1.0), (0.07172949402987333, 0.06245125888927615)),
+                ("H1H2", (0.13, 0.45, 1.0), (0.2260902059620353, 0.12989128694062627)))
 ALL_STALL = ("H1H2", (0.13, 0.45, 1.0), WindingNumbers((8, 6, 2)).target())
 
 
@@ -847,7 +849,7 @@ def test_lazy_scan_starts_match_full_scan(case):
     ref = _full_scan_starts(spectral._omega_rows, target, ctype, ell)
     six = [(x1, x2) for _, x1, x2 in ref]
     assert [x for b in batches[:2] for x in b] == six
-    norms = spectral._scan_norms(_scan_grid(ctype, ell), target, ell, 1e-12)
+    norms = _scan_norms(target, ctype, ell)
     assert sorted(norms.tolist())[:6] == [nrm for nrm, _, _ in ref]
     _check_rescue_batches(batches, target, ctype, ell, six)
 
@@ -961,6 +963,6 @@ def test_other_local_minimum_converges_after_six_stalls(monkeypatch, ell_flat):
     assert [len(starts) for starts, _, _ in runs] == [1, 5, 1]
     assert min(nrm for _, nrms, _ in runs[:2] for nrm in nrms) > 1e-10
     six = [x for starts, _, _ in runs[:2] for x in starts]
-    norms = spectral._scan_norms(_scan_grid("EH1", ell_flat), np.array(target), ell_flat, 1e-12)
+    norms = _scan_norms(np.array(target), "EH1", ell_flat)
     assert runs[2][0] == _other_local_minima(norms, "EH1", ell_flat, set(six))
     assert runs[2][1][0] <= 1e-10 and lam.lambdas == tuple(runs[2][2][0])

@@ -26,7 +26,8 @@ commit::
 ``src``); the workload definitions always come from this checkout's
 ``bench``.  ``collect`` prints each group's outcome count and wall time
 as it finishes it.  ``compare`` prints every differing key with both
-outcomes and exits 1 when any differs.
+outcomes, then how many of them are failures that now succeed and
+successes that now fail, and exits 1 when any differs.
 
 ``collect --atlas`` records a ``minimal_atlas()`` build instead: per
 class, the shape's axes, the caustic parameters, the impacts and
@@ -182,8 +183,9 @@ def compare(old: dict, new: dict) -> int:
     for key in diffs:
         print(f"{key}\n  old: {old.get(key, '<missing>')}\n  new: {new.get(key, '<missing>')}")
     fixed = sum(isinstance(old.get(k), str) and isinstance(new.get(k), tuple) for k in diffs)
+    lost = sum(isinstance(old.get(k), tuple) and isinstance(new.get(k), str) for k in diffs)
     print(f"{len(old)} vs {len(new)} outcomes: {len(diffs)} differ "
-          f"({fixed} of them failures that now succeed)")
+          f"({fixed} of them failures that now succeed, {lost} successes that now fail)")
     return 1 if diffs else 0
 
 
